@@ -13,7 +13,7 @@ synopsis survives restarts.  This example:
    and a ``SnapshotEmitter`` printing a one-line telemetry digest
    (events/s, transactions/s, T2 occupancy, evictions) on an interval
    while appending full snapshots to an NDJSON file;
-2. checkpoints the synopsis to a file in format v3 (one CRC envelope per
+2. checkpoints the synopsis to a file in format v4 (one CRC envelope per
    shard, so a corrupt shard degrades instead of destroying a restore);
 3. "restarts" into a fresh service, restores the checkpoint, streams the
    second half, and shows the correlations carried across the restart.
@@ -150,7 +150,7 @@ def main() -> None:
     checkpoint_path = os.path.join(tempfile.gettempdir(), "synopsis.ckpt")
     with open(checkpoint_path, "wb") as stream:
         written = service.checkpoint(stream)
-    print(f"checkpointed synopsis (format v3, one envelope per shard): "
+    print(f"checkpointed synopsis (format v4, one envelope per shard): "
           f"{written} bytes -> {checkpoint_path}")
 
     print("\n-- simulated restart --\n")

@@ -35,9 +35,8 @@ from .core import (
 )
 from .core.serialize import CheckpointCorruptError
 from .engine import (
-    ShardedAnalyzer,
-    SingleAnalyzerEngine,
-    SynopsisEngine,
+    BackendEngine,
+    build_engine,
     dump_engine,
     load_engine,
 )
@@ -80,6 +79,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AnalyzerConfig",
     "AnalyzerReport",
+    "BackendEngine",
     "BlockIOEvent",
     "CachedCharacterizationService",
     "CheckpointCorruptError",
@@ -95,12 +95,10 @@ __all__ = [
     "NullRegistry",
     "ResilientCharacterizationService",
     "ServiceHealth",
-    "ShardedAnalyzer",
-    "SingleAnalyzerEngine",
     "SimulatedBlockCache",
     "SinkGuard",
-    "SynopsisEngine",
     "SynopsisPrefetcher",
+    "build_engine",
     "dump_engine",
     "load_engine",
     "Extent",

@@ -29,7 +29,6 @@ from .prefetcher import (
     Prefetcher,
     RulePrefetcher,
     SynopsisPrefetcher,
-    correlated_partners,
 )
 from .service import DEFAULT_CACHE_BLOCKS, CachedCharacterizationService
 from .simcache import SimulatedBlockCache
@@ -52,7 +51,6 @@ __all__ = [
     "RulePrefetcher",
     "SimulatedBlockCache",
     "SynopsisPrefetcher",
-    "correlated_partners",
     "make_policy",
     "run_closed_loop",
     "simulate_cache",

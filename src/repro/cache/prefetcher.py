@@ -8,9 +8,10 @@ of the online/offline spectrum:
 
 * :class:`SynopsisPrefetcher` -- the **online** closed loop.  On every
   miss it queries a *live* synopsis (any
-  :class:`~repro.engine.backends.base.SynopsisBackend`, a hosted
-  :class:`~repro.engine.backends.host.BackendEngine`, or a plain
-  (typed/sharded) analyzer) for the missed extent's strongest partners,
+  :class:`~repro.engine.backends.base.SynopsisBackend`, an analyzer, or
+  an engine from :func:`~repro.engine.build_engine`, in-process or
+  process-sharded) for the missed extent's strongest partners through
+  its ``correlated_with``,
   under a prefetch ``budget``, a ``min_support`` confidence floor, and
   accuracy-driven throttling: when the cache's measured
   ``prefetch_accuracy`` drops below a watermark the effective budget
@@ -48,32 +49,6 @@ class Prefetcher(Protocol):
     def partners_of(self, extent: Extent) -> List[Extent]:
         """Extents to prefetch when ``extent`` is demand-accessed."""
         ...
-
-
-def correlated_partners(synopsis, extent: Extent, k: int
-                        ) -> List[Tuple[Extent, int]]:
-    """Query any synopsis representation for an extent's partners.
-
-    Dispatches on capability: backends and analyzers expose an indexed
-    ``correlated_with``; anything else that can enumerate
-    ``pair_frequencies`` gets a (slow) scan fallback, so even a
-    process-sharded engine can serve a prefetcher.
-    """
-    query = getattr(synopsis, "correlated_with", None)
-    if query is not None:
-        return query(extent, k)
-    partners: Dict[Extent, int] = {}
-    for pair, count in synopsis.pair_frequencies().items():
-        if pair.first == extent:
-            other = pair.second
-        elif pair.second == extent:
-            other = pair.first
-        else:
-            continue
-        if count > partners.get(other, 0):
-            partners[other] = count
-    ranked = sorted(partners.items(), key=lambda entry: (-entry[1], entry[0]))
-    return ranked[:k]
 
 
 class SynopsisPrefetcher:
@@ -129,7 +104,7 @@ class SynopsisPrefetcher:
         budget = self._effective_budget
         if budget == 0:
             return []
-        ranked = correlated_partners(self.synopsis, extent, budget)
+        ranked = self.synopsis.correlated_with(extent, budget)
         min_support = self.min_support
         return [partner for partner, count in ranked
                 if count >= min_support][:budget]

@@ -299,7 +299,7 @@ load_analyzer` rebuilds a plain analyzer from a checkpoint, a richer
         self._pairs_seen = other._pairs_seen
 
     def reset(self) -> None:
-        """Forget everything (tables and counters)."""
+        """Forget everything (tables, table stats and counters)."""
         self.items.clear()
         self.correlations.clear()
         self._transactions = 0

@@ -255,5 +255,7 @@ class TwoTierTable(Generic[K]):
         return tally
 
     def clear(self) -> None:
+        """Forget every entry and the operation counters."""
         self._t1.clear()
         self._t2.clear()
+        self.stats = TableStats()

@@ -11,9 +11,10 @@ plug-in:
 
 * **ingest** -- ``process`` / ``process_transaction`` /
   ``process_transaction_batch`` for standalone use, plus the two
-  primitive updates (``update_item`` / ``update_pair``) a host calls
-  after routing, and ``apply_shard_work`` consuming the procshard
-  engine's pre-routed columnar arrays;
+  primitive updates (``update_item`` / ``update_pair``, the latter with
+  the pair's R/W mix) a host calls after routing, ``apply_routed`` for a
+  thread-per-shard batch, and ``apply_shard_work`` consuming the
+  procshard engine's pre-routed columnar arrays;
 * **queries** -- ranked ``top_pairs`` / ``correlated_with`` plus the
   classic ``frequent_pairs`` / ``frequent_extents`` /
   ``pair_frequencies`` surface the service layers already consume;
@@ -126,12 +127,19 @@ class BackendBase:
         demoted everywhere (two-tier eviction coupling), else ``None``."""
         raise NotImplementedError
 
-    def update_pair(self, pair: ExtentPair) -> None:
-        """Record one co-access of a canonical extent pair."""
+    def update_pair(self, pair: ExtentPair, mix: Optional[int] = None
+                    ) -> None:
+        """Record one co-access of a canonical extent pair.  ``mix`` is
+        the op-code sum of its members (0 read/read, 1 mixed, 2
+        write/write; ``None`` untyped); sketches ignore it."""
         raise NotImplementedError
 
     def demote_item(self, extent: Extent) -> None:
         """Apply a cross-shard eviction demotion; sketches ignore it."""
+
+    def bind_metrics(self, registry, shard: int) -> None:
+        """Publish per-shard telemetry into a host's registry under
+        ``shard="<shard>"``; sketches publish none of their own."""
 
     # -- standalone ingest -------------------------------------------------
 
@@ -182,6 +190,25 @@ class BackendBase:
         self._transactions += count
         return count
 
+    def apply_routed(self, extents: Sequence[Extent],
+                     pairs: Sequence[Tuple[ExtentPair, Optional[int]]]
+                     ) -> List[Extent]:
+        """Apply one shard's pre-routed work -- items first (with local
+        eviction demotion), then ``(pair, mix)`` rows -- and return the
+        evicted extents the other shards must demote."""
+        update_item = self.update_item
+        update_pair = self.update_pair
+        evicted_out: List[Extent] = []
+        for extent in extents:
+            evicted = update_item(extent)
+            if evicted is not None:
+                evicted_out.append(evicted)
+        for pair, mix in pairs:
+            update_pair(pair, mix)
+        self._extents_seen += len(extents)
+        self._pairs_seen += len(pairs)
+        return evicted_out
+
     def apply_shard_work(
         self,
         item_starts,
@@ -197,22 +224,16 @@ class BackendBase:
         cross-shard demotion -- always empty for sketch backends."""
         intern_extent = self._interner.extent
         intern_pair = self._interner.pair
-        update_item = self.update_item
-        update_pair = self.update_pair
-        evicted_out: List[Tuple[int, int]] = []
-        for start, length in zip(item_starts.tolist(),
-                                 item_lengths.tolist()):
-            evicted = update_item(intern_extent(start, length))
-            if evicted is not None:
-                evicted_out.append((evicted.start, evicted.length))
-        self._extents_seen += len(item_starts)
-        for a_start, a_length, b_start, b_length in zip(
-                a_starts.tolist(), a_lengths.tolist(),
-                b_starts.tolist(), b_lengths.tolist()):
-            update_pair(intern_pair(intern_extent(a_start, a_length),
-                                    intern_extent(b_start, b_length)))
-        self._pairs_seen += len(a_starts)
-        return evicted_out
+        evicted = self.apply_routed(
+            [intern_extent(start, length) for start, length in
+             zip(item_starts.tolist(), item_lengths.tolist())],
+            [(intern_pair(intern_extent(a_start, a_length),
+                          intern_extent(b_start, b_length)), mix)
+             for a_start, a_length, b_start, b_length, mix in zip(
+                 a_starts.tolist(), a_lengths.tolist(),
+                 b_starts.tolist(), b_lengths.tolist(), mixes.tolist())],
+        )
+        return [(extent.start, extent.length) for extent in evicted]
 
     # -- queries -----------------------------------------------------------
 

@@ -71,7 +71,8 @@ class CHHBackend(BackendBase):
         self._items.update(extent)
         return None
 
-    def update_pair(self, pair: ExtentPair) -> None:
+    def update_pair(self, pair: ExtentPair, mix: Optional[int] = None
+                    ) -> None:
         self._update_direction(pair.first, pair.second)
         self._update_direction(pair.second, pair.first)
 

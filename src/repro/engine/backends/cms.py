@@ -50,7 +50,8 @@ class CountMinPairBackend(BackendBase):
         self._items.update(extent)
         return None
 
-    def update_pair(self, pair: ExtentPair) -> None:
+    def update_pair(self, pair: ExtentPair, mix: Optional[int] = None
+                    ) -> None:
         self._sketch.update(pair)
 
     # -- queries -----------------------------------------------------------

@@ -1,35 +1,36 @@
-"""Checkpoint formats v3/v4: per-shard integrity envelopes.
+"""Engine checkpoints: per-shard integrity envelopes (formats v3/v4).
 
 Format v2 (:mod:`repro.core.serialize`) protects one analyzer's synopsis
 with a single CRC -- one flipped bit rejects the whole checkpoint.  A
-sharded engine can do better: v3 frames N complete v2 envelopes, one per
-shard, each carrying its own CRC::
-
-    RTSHD\\x03 || u32 shard_count || { u32 blob_length || v2-envelope } * N
-
-Corruption inside one shard's envelope is caught by *that shard's* CRC, so
-a degraded restore (``strict=False``) replaces only the damaged shard with
-a fresh synopsis and keeps every other shard's learned state -- one corrupt
-shard degrades, not destroys, the synopsis.  Damage to the v3 framing
-itself (magic, counts, lengths) still rejects the file, as the shard
-boundaries can no longer be trusted.
-
-Format v4 extends the same per-shard scheme to pluggable synopsis
-backends (:mod:`repro.engine.backends`).  Backend payloads are opaque to
-the framing, so each shard gets a uniform CRC envelope, and the header
-names the backend and carries the engine-level configuration (the v2
-header only knows table capacities)::
+sharded engine does better with one CRC envelope per shard.  Format v4
+frames each shard's backend payload (:mod:`repro.engine.backends`); the
+header names the backend and carries the engine-level configuration and
+flow counters (the v2 header only knows table capacities)::
 
     RTBKD\\x04 || u8 name_len || name || u32 cfg_len || cfg_json
              || u32 shard_count || { u32 length || u32 crc32 || payload } * N
 
-Degraded restore works identically: a shard whose CRC fails is replaced
-with a *fresh* backend of the same kind at the same per-shard
-configuration.
+Corruption inside one shard's payload is caught by *that shard's* CRC, so
+a degraded restore (``strict=False``) replaces only the damaged shard
+with a fresh backend of the same kind at the same per-shard
+configuration and keeps every other shard's learned state -- one corrupt
+shard degrades, not destroys, the synopsis.  Damage to the framing
+itself (magic, counts, lengths) still rejects the file, as the shard
+boundaries can no longer be trusted.  A two-tier shard's payload is a v2
+envelope plus its R/W sidecar, table stats and flow counters, so R/W
+tallies survive a restore.
 
-:func:`dump_engine` / :func:`load_engine` dispatch between v1/v2 single-
-analyzer checkpoints, v3 sharded ones, and v4 backend engines by magic,
-so services need a single pair of calls regardless of engine shape.
+Format v3, written by earlier releases for two-tier shards, framed N bare
+v2 envelopes (no R/W sidecar)::
+
+    RTSHD\\x03 || u32 shard_count || { u32 blob_length || v2-envelope } * N
+
+It still loads, read-only, into a two-tier
+:class:`~repro.engine.backends.host.BackendEngine`.
+
+:func:`dump_engine` writes v4 for every sharded engine and v2 for the
+single analyzer; :func:`load_engine` dispatches on the magic, so services
+need a single pair of calls regardless of engine shape.
 """
 
 from __future__ import annotations
@@ -43,18 +44,18 @@ import zlib
 from pathlib import Path
 from typing import BinaryIO, List, NamedTuple, Union
 
-from ..core.analyzer import OnlineAnalyzer
 from ..core.config import AnalyzerConfig
 from ..core.serialize import (
     CheckpointCorruptError,
     _run_pre_rename_hook,
     dump_analyzer,
-    dumps_analyzer,
     load_analyzer,
     loads_analyzer,
 )
 from ..core.typed import TypedOnlineAnalyzer
-from .sharded import ShardedAnalyzer, shard_config
+from .backends import create_backend, deserialize_backend
+from .backends.host import BackendEngine, shard_config
+from .backends.twotier import TwoTierBackend
 
 _MAGIC_V3 = b"RTSHD\x03"
 _MAGIC_V4 = b"RTBKD\x04"
@@ -71,32 +72,16 @@ PathOrStr = Union[str, Path]
 class LoadedEngine(NamedTuple):
     """Result of :func:`load_engine`.
 
-    ``engine`` is an :class:`OnlineAnalyzer` (v1/v2 checkpoints) or a
-    :class:`ShardedAnalyzer` (v3); ``corrupt_shards`` lists shard indices
-    that failed integrity checks and were restored fresh (always empty
-    under ``strict=True``, which raises instead).
+    ``engine`` is a :class:`~repro.core.typed.TypedOnlineAnalyzer` (v1/v2
+    checkpoints; the R/W sidecar rebuilds from future traffic) or a
+    :class:`~repro.engine.backends.host.BackendEngine` (v3/v4);
+    ``corrupt_shards`` lists shard indices that failed integrity checks
+    and were restored fresh (always empty under ``strict=True``, which
+    raises instead).
     """
 
     engine: object
     corrupt_shards: List[int]
-
-
-def dump_sharded(engine, stream: BinaryIO) -> int:
-    """Write a sharded engine as a v3 checkpoint; returns bytes written.
-
-    Accepts anything exposing ``shard_analyzers`` -- the in-process
-    :class:`ShardedAnalyzer` and the process-backed
-    :class:`~repro.engine.procshard.ProcessShardedAnalyzer` (which
-    materializes its workers' synopses for the duration of the dump).
-    """
-    written = stream.write(_MAGIC_V3)
-    shards = engine.shard_analyzers
-    written += stream.write(_U32.pack(len(shards)))
-    for shard in shards:
-        blob = dumps_analyzer(shard)
-        written += stream.write(_U32.pack(len(blob)))
-        written += stream.write(blob)
-    return written
 
 
 def _read_exact(stream: BinaryIO, size: int, what: str) -> bytes:
@@ -106,8 +91,8 @@ def _read_exact(stream: BinaryIO, size: int, what: str) -> bytes:
     return chunk
 
 
-def load_sharded(stream: BinaryIO, strict: bool = True) -> LoadedEngine:
-    """Restore a v3 checkpoint written by :func:`dump_sharded`.
+def _load_v3(stream: BinaryIO, strict: bool = True) -> LoadedEngine:
+    """Restore a v3 checkpoint into a two-tier :class:`BackendEngine`.
 
     Under ``strict=True`` any corruption raises
     :class:`CheckpointCorruptError`.  Under ``strict=False`` a shard whose
@@ -129,26 +114,34 @@ def load_sharded(stream: BinaryIO, strict: bool = True) -> LoadedEngine:
         )
         blobs.append(_read_exact(stream, length, f"shard {index} payload"))
 
-    shards: List[object] = []
+    analyzers: List[object] = []
     corrupt: List[int] = []
     for index, blob in enumerate(blobs):
         try:
-            shards.append(loads_analyzer(blob))
+            analyzers.append(loads_analyzer(blob))
         except CheckpointCorruptError:
             if strict:
                 raise
             corrupt.append(index)
-            shards.append(None)
+            analyzers.append(None)
 
     if len(corrupt) == count:
         raise CheckpointCorruptError(
             f"all {count} shards corrupt; nothing to restore"
         )
-    template = next(shard for shard in shards if shard is not None)
-    for index in corrupt:
-        shards[index] = OnlineAnalyzer(template.config)
-
-    engine = ShardedAnalyzer.from_shards(shards)
+    per_shard = next(a for a in analyzers if a is not None).config
+    backends = []
+    for analyzer in analyzers:
+        backend = TwoTierBackend(per_shard)
+        if analyzer is not None:
+            backend.analyzer.adopt(analyzer)
+        backends.append(backend)
+    config = dataclasses.replace(
+        per_shard,
+        item_capacity=per_shard.item_capacity * count,
+        correlation_capacity=per_shard.correlation_capacity * count,
+    )
+    engine = BackendEngine(config, shards=count, backends=backends)
     return LoadedEngine(engine, corrupt)
 
 
@@ -156,16 +149,9 @@ def load_sharded(stream: BinaryIO, strict: bool = True) -> LoadedEngine:
 # Format v4: backend-tagged engines
 # ---------------------------------------------------------------------------
 
-def dump_backend_engine(engine, stream: BinaryIO) -> int:
-    """Write a backend-hosting engine as a v4 checkpoint.
-
-    Accepts anything exposing ``backend_name``, ``config`` and
-    ``shard_backends`` -- the in-process
-    :class:`~repro.engine.backends.host.BackendEngine` and the
-    process-backed :class:`~repro.engine.procshard.ProcessShardedAnalyzer`
-    in backend mode (whose ``shard_backends`` materializes the workers'
-    state for the duration of the dump).
-    """
+def _dump_v4(engine, backends, stream: BinaryIO) -> int:
+    """Write a sharded engine and its ``shard_backends`` as a v4
+    checkpoint; returns bytes written."""
     name = engine.backend_name.encode("utf-8")
     if not 1 <= len(name) <= 255:
         raise ValueError(f"implausible backend name: {engine.backend_name!r}")
@@ -173,9 +159,7 @@ def dump_backend_engine(engine, stream: BinaryIO) -> int:
     # Engine-level flow counters ride in the header (the per-shard
     # payloads only know their own slice of the stream).
     header["__counters__"] = [
-        getattr(engine, "_transactions", 0),
-        getattr(engine, "_extents_seen", 0),
-        getattr(engine, "_pairs_seen", 0),
+        engine._transactions, engine._extents_seen, engine._pairs_seen,
     ]
     cfg_json = json.dumps(
         header, sort_keys=True, separators=(",", ":")
@@ -185,7 +169,6 @@ def dump_backend_engine(engine, stream: BinaryIO) -> int:
     written += stream.write(name)
     written += stream.write(_U32.pack(len(cfg_json)))
     written += stream.write(cfg_json)
-    backends = engine.shard_backends
     written += stream.write(_U32.pack(len(backends)))
     for backend in backends:
         payload = backend.serialize()
@@ -218,16 +201,14 @@ def _load_config_json(raw: bytes):
     return config, counters
 
 
-def load_backend_engine(stream: BinaryIO, strict: bool = True) -> LoadedEngine:
-    """Restore a v4 checkpoint written by :func:`dump_backend_engine`.
+def _load_v4(stream: BinaryIO, strict: bool = True) -> LoadedEngine:
+    """Restore a v4 checkpoint.
 
     Returns a :class:`~repro.engine.backends.host.BackendEngine`.  Under
     ``strict=False`` a shard whose payload fails its CRC (or whose codec
     rejects it) is replaced with a fresh backend of the same kind at the
     same per-shard configuration; framing corruption still raises.
     """
-    from .backends import create_backend, deserialize_backend
-
     magic = _read_exact(stream, len(_MAGIC_V4), "backend checkpoint magic")
     if magic != _MAGIC_V4:
         raise CheckpointCorruptError(f"bad backend synopsis magic: {magic!r}")
@@ -295,9 +276,7 @@ def load_backend_engine(stream: BinaryIO, strict: bool = True) -> LoadedEngine:
     for index in corrupt:
         backends[index] = create_backend(name, per_shard)
 
-    from .backends.host import BackendEngine
-
-    engine = BackendEngine.from_backends(backends, config=config)
+    engine = BackendEngine(config, shards=count, backends=backends)
     (engine._transactions, engine._extents_seen,
      engine._pairs_seen) = counters
     return LoadedEngine(engine, corrupt)
@@ -308,34 +287,27 @@ def load_backend_engine(stream: BinaryIO, strict: bool = True) -> LoadedEngine:
 # ---------------------------------------------------------------------------
 
 def dump_engine(engine, stream: BinaryIO) -> int:
-    """Checkpoint any engine: v4 for backend hosts (dispatched on the
-    ``shard_backends`` seam), v3 for sharded two-tier (thread- or
-    process-backed, the ``shard_analyzers`` seam), v2 for a single
-    analyzer.
-
-    :class:`~repro.engine.procshard.ProcessShardedAnalyzer` exposes
-    *both* seams but raises :class:`AttributeError` from the one that
-    does not match its mode, which makes ``hasattr`` select correctly.
-    """
-    if hasattr(engine, "shard_backends"):
-        return dump_backend_engine(engine, stream)
-    if hasattr(engine, "shard_analyzers"):
-        return dump_sharded(engine, stream)
-    analyzer = getattr(engine, "analyzer", engine)
-    return dump_analyzer(analyzer, stream)
+    """Checkpoint any engine: v4 for a sharded engine (it exposes the
+    ``shard_backends`` seam; a process engine materializes its workers'
+    state once for the dump), v2 for the single analyzer."""
+    backends = getattr(engine, "shard_backends", None)
+    if backends is None:
+        return dump_analyzer(engine, stream)
+    return _dump_v4(engine, backends, stream)
 
 
 def load_engine(stream: BinaryIO, strict: bool = True) -> LoadedEngine:
     """Restore a checkpoint of any format, dispatching on its magic."""
     prefix = stream.read(len(_MAGIC_V3))
+    body = io.BytesIO(prefix + stream.read())
     if prefix == _MAGIC_V3:
-        body = io.BytesIO(prefix + stream.read())
-        return load_sharded(body, strict=strict)
+        return _load_v3(body, strict=strict)
     if prefix == _MAGIC_V4:
-        body = io.BytesIO(prefix + stream.read())
-        return load_backend_engine(body, strict=strict)
-    rest = io.BytesIO(prefix + stream.read())
-    return LoadedEngine(load_analyzer(rest), [])
+        return _load_v4(body, strict=strict)
+    restored = load_analyzer(body)
+    typed = TypedOnlineAnalyzer(restored.config)
+    typed.adopt(restored)
+    return LoadedEngine(typed, [])
 
 
 def save_engine_checkpoint(engine, path: PathOrStr) -> int:
@@ -359,24 +331,3 @@ def load_engine_checkpoint(path: PathOrStr, strict: bool = True) -> LoadedEngine
     """Load and integrity-check an engine checkpoint file."""
     with open(path, "rb") as stream:
         return load_engine(stream, strict=strict)
-
-
-def as_typed_engine(loaded: LoadedEngine):
-    """Promote a loaded engine to the service's typed analyzer shape.
-
-    v3 checkpoints restore straight to a (typed-capable)
-    :class:`ShardedAnalyzer` and v4 ones to a
-    :class:`~repro.engine.backends.host.BackendEngine` (which already
-    answers the typed query surface, with stubs for sketch backends) --
-    both pass through unchanged.  v1/v2 plain analyzers are adopted into
-    a fresh :class:`TypedOnlineAnalyzer` (the sidecar rebuilds from
-    future traffic, as with format v2).
-    """
-    from .backends.host import BackendEngine
-
-    engine = loaded.engine
-    if isinstance(engine, (ShardedAnalyzer, BackendEngine)):
-        return engine
-    typed = TypedOnlineAnalyzer(engine.config)
-    typed.adopt(engine)
-    return typed

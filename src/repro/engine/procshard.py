@@ -1,11 +1,11 @@
 """Shard-per-process execution: the GIL-free synopsis engine.
 
-:class:`~repro.engine.sharded.ShardedAnalyzer`'s thread-parallel batch
+:class:`~repro.engine.backends.host.BackendEngine`'s thread-parallel batch
 path cannot speed up the pure-Python table loops -- the GIL serializes
 them.  This module runs each shard in its **own process**: a spawned
-worker owns one :class:`~repro.core.typed.TypedOnlineAnalyzer` and applies
-pre-routed columnar work shipped to it as pickled numpy arrays, so N
-shards use N cores.
+worker owns one synopsis backend (:mod:`repro.engine.backends`; the
+two-tier tables by default) and applies pre-routed columnar work shipped
+to it as pickled numpy arrays, so N shards use N cores.
 
 Routing.  The in-process engine routes with Python's ``hash() % N``; a
 process engine cannot, because worker-side structures must agree with
@@ -14,11 +14,12 @@ and pairs are instead routed by a SplitMix64-style avalanche hash over
 their integer columns (:func:`route_batch`) -- deterministic, vectorized,
 and identical everywhere.  The two engines therefore partition the key
 space *differently*: per-shard residency differs between them, while the
-analysis itself (tally arithmetic, promotion, eviction-demotion coupling)
-is the same code via :func:`_apply_shard_work`.  Pair expansion is also
-vectorized by grouping transactions of equal size, which orders a batch's
-pairs by transaction size rather than strictly by transaction; tallies
-are unaffected (each pair occurrence is still applied exactly once).
+analysis itself (tally arithmetic, promotion, eviction-demotion coupling,
+R/W mixes) is the same code, the backend's ``apply_shard_work``.  Pair
+expansion is also vectorized by grouping transactions of equal size,
+which orders a batch's pairs by transaction size rather than strictly by
+transaction; tallies are unaffected (each pair occurrence is still
+applied exactly once).
 
 Protocol.  Batches run in lockstep over duplex pipes: the main process
 ships each worker its routed slice, waits for every worker's ack (which
@@ -32,9 +33,10 @@ mid-batch is detected by liveness polling and surfaces as
 
 Queries and checkpointing fetch state from the workers: query methods
 execute remotely and merge like the in-process engine; the
-:attr:`~ProcessShardedAnalyzer.shard_analyzers` property materializes
-each worker's synopsis in the main process, so checkpoint format v3
-(``RTSHD\\x03``) works unchanged.
+:attr:`~ProcessShardedAnalyzer.shard_backends` property materializes each
+worker's backend in the main process, so checkpoint format v4 works
+unchanged, and :meth:`~ProcessShardedAnalyzer.adopt_backends` ships
+restored backends back into a live fleet.
 """
 
 from __future__ import annotations
@@ -46,15 +48,16 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.analyzer import AnalyzerReport, OnlineAnalyzer
+from ..core.analyzer import AnalyzerReport
 from ..core.config import AnalyzerConfig
 from ..core.extent import Extent, ExtentPair
-from ..core.serialize import dumps_analyzer, loads_analyzer
-from ..core.typed import CorrelationKind, TypeTally, TypedOnlineAnalyzer
+from ..core.typed import CorrelationKind, TypeTally
 from ..telemetry.aggregate import merge_worker_snapshot
 from ..telemetry.metrics import MetricsRegistry, get_default_registry
 from ..telemetry.tracelog import current_context, get_tracelog
-from .sharded import _merged_stats, shard_config
+from .backends import create_backend, deserialize_backend
+from .backends.host import merge_partners, merge_ranked, merged_stats, \
+    shard_config
 
 
 class ShardWorkerError(RuntimeError):
@@ -159,125 +162,41 @@ def route_batch(batch, shards: int) -> List[ShardWork]:
     return work
 
 
-def _apply_shard_work(
-    analyzer: TypedOnlineAnalyzer,
-    item_starts: np.ndarray,
-    item_lengths: np.ndarray,
-    a_starts: np.ndarray,
-    a_lengths: np.ndarray,
-    b_starts: np.ndarray,
-    b_lengths: np.ndarray,
-    mixes: np.ndarray,
-) -> List[Tuple[int, int]]:
-    """Apply one shard's routed work to its analyzer.
+def _shard_worker_main(conn, config: AnalyzerConfig, index: int = 0,
+                       telemetry: Optional[dict] = None) -> None:
+    """Worker process entry point: serve one synopsis backend over a pipe.
 
-    The single definition of shard-side semantics: the worker process runs
-    this, and tests run it in-process against the same routed arrays to
-    pin down what the workers must produce.  Items first (with local
-    eviction demotion), then pairs -- the same intra-batch order as the
-    thread engine's shard task.  Returns the item-table evictions as
-    ``(start, length)`` tuples for cross-shard demotion.
+    ``process`` applies pre-routed columnar work through the backend's
+    ``apply_shard_work`` and acks the item evictions (always empty for
+    sketch backends); ``fetch``/``adopt`` move the backend's serialized
+    payload (checkpoint v4 frames it); ``query`` dispatches by method name.
+
+    ``telemetry`` (picklable dict) switches on the worker's own
+    observability: ``{"metrics": bool, "metrics_interval": seconds,
+    "trace_path": str|None, "slow_threshold": seconds}``.  With metrics
+    on, the worker binds its backend to a real registry (labelled with its
+    shard index) and piggybacks a full cumulative ``snapshot()`` on
+    ``process`` acks at most once per interval -- the first ack always
+    ships one, so the parent is never blind after the first batch.  With
+    a trace path, the worker appends ``shard.apply`` spans (children of
+    the context the parent ships per batch) to the shared NDJSON file.
     """
-    intern_extent = analyzer._interner.extent
-    intern_pair = analyzer._interner.pair
-    items_access = analyzer.items.access_fast
-    corr_access = analyzer.correlations.access_fast
-    demote = analyzer.config.demote_on_item_eviction
-    demote_involving = analyzer.correlations.demote_involving
-    evicted_out: List[Tuple[int, int]] = []
+    from ..telemetry.tracelog import TraceContext, TraceLog
 
-    for start, length in zip(item_starts.tolist(), item_lengths.tolist()):
-        evicted = items_access(intern_extent(start, length))
-        if demote and evicted is not None:
-            demote_involving(evicted)
-            evicted_out.append((evicted.start, evicted.length))
-
-    types = analyzer._types
-    types_get = types.get
-    types_pop = types.pop
-    pair_rows = zip(a_starts.tolist(), a_lengths.tolist(),
-                    b_starts.tolist(), b_lengths.tolist(), mixes.tolist())
-    for a_start, a_length, b_start, b_length, mix in pair_rows:
-        pair = intern_pair(intern_extent(a_start, a_length),
-                           intern_extent(b_start, b_length))
-        evicted_pair = corr_access(pair)
-        if evicted_pair is not None:
-            types_pop(evicted_pair, None)
-        tally = types_get(pair)
-        if tally is None:
-            types[pair] = tally = TypeTally()
-        if mix == 0:
-            tally.read += 1
-        elif mix == 2:
-            tally.write += 1
-        else:
-            tally.mixed += 1
-    return evicted_out
-
-
-def _side_state(analyzer: TypedOnlineAnalyzer) -> Tuple:
-    """Analyzer state the v2 envelope does not carry: typed sidecar rows,
-    table stats, and flow counters."""
-    return (
-        _types_rows(analyzer),
-        analyzer.items.stats.as_dict(),
-        analyzer.correlations.stats.as_dict(),
-        (analyzer._transactions, analyzer._extents_seen,
-         analyzer._pairs_seen),
-    )
-
-
-def _restore_side_state(analyzer: TypedOnlineAnalyzer, side: Tuple) -> None:
-    rows, item_stats, corr_stats, counters = side
-    _restore_types(analyzer, rows)
-    for name, value in item_stats.items():
-        setattr(analyzer.items.stats, name, value)
-    for name, value in corr_stats.items():
-        setattr(analyzer.correlations.stats, name, value)
-    (analyzer._transactions, analyzer._extents_seen,
-     analyzer._pairs_seen) = counters
-
-
-def _types_rows(analyzer: TypedOnlineAnalyzer) -> List[Tuple]:
-    """The typed sidecar as plain tuples (pickle-lean wire form)."""
-    return [
-        (pair.first.start, pair.first.length,
-         pair.second.start, pair.second.length,
-         tally.read, tally.write, tally.mixed)
-        for pair, tally in analyzer._types.items()
-    ]
-
-
-def _restore_types(analyzer: TypedOnlineAnalyzer,
-                   rows: List[Tuple]) -> None:
-    intern_extent = analyzer._interner.extent
-    intern_pair = analyzer._interner.pair
-    analyzer._types = {
-        intern_pair(intern_extent(a_start, a_length),
-                    intern_extent(b_start, b_length)):
-        TypeTally(read=read, write=write, mixed=mixed)
-        for a_start, a_length, b_start, b_length, read, write, mixed in rows
-    }
-
-
-def _backend_worker_main(conn, config: AnalyzerConfig,
-                         index: int = 0) -> None:
-    """Worker entry point in backend mode: serve one synopsis backend.
-
-    Speaks the same op protocol as the two-tier worker loop, with the
-    per-shard synopsis behind the :class:`~repro.engine.backends.base.\
-SynopsisBackend` surface: ``process`` applies pre-routed columnar work
-    through ``apply_shard_work`` (acking the item evictions -- always
-    empty for sketch backends), ``fetch``/``adopt`` move the backend's
-    own serialized payload (checkpoint v4 frames it), and ``query``
-    dispatches by method name exactly like the analyzer loop.  Worker
-    metric snapshots are not shipped in backend mode; acks carry
-    ``None`` where the analyzer loop would piggyback one.
-    """
-    from .backends import create_backend, deserialize_backend
-
+    telemetry = telemetry or {}
+    registry = MetricsRegistry() if telemetry.get("metrics") else None
     backend = create_backend(config.backend, config)
-    intern_extent = backend._interner.extent
+    if registry is not None:
+        backend.bind_metrics(registry, index)
+    tracer = None
+    if telemetry.get("trace_path"):
+        # Sample decisions were made at the trace root and travel with
+        # the shipped context; the worker's own rate stays 0.
+        tracer = TraceLog(telemetry["trace_path"], sample_rate=0.0,
+                          slow_threshold=telemetry.get(
+                              "slow_threshold", 0.25))
+    ship_interval = float(telemetry.get("metrics_interval", 0.5))
+    last_ship = float("-inf")
     while True:
         try:
             message = conn.recv()
@@ -287,11 +206,29 @@ SynopsisBackend` surface: ``process`` applies pre-routed columnar work
         try:
             if op == "process":
                 item_work, pair_work = message[1], message[2]
-                evicted = backend.apply_shard_work(*item_work, *pair_work)
-                conn.send(("ok", (evicted, None)))
+                context = TraceContext.from_tuple(message[3]) \
+                    if len(message) > 3 else None
+                if tracer is not None and context is not None:
+                    with tracer.span("shard.apply", parent=context,
+                                     tags={"shard": index}):
+                        evicted = backend.apply_shard_work(
+                            *item_work, *pair_work)
+                else:
+                    evicted = backend.apply_shard_work(
+                        *item_work, *pair_work)
+                snap = None
+                if registry is not None:
+                    now = time.monotonic()
+                    if now - last_ship >= ship_interval:
+                        last_ship = now
+                        snap = registry.snapshot()
+                conn.send(("ok", (evicted, snap)))
             elif op == "collect":
-                conn.send(("ok", None))
+                conn.send(("ok",
+                           registry.snapshot() if registry is not None
+                           else None))
             elif op == "demote":
+                intern_extent = backend._interner.extent
                 demote_item = backend.demote_item
                 for start, length in message[1]:
                     demote_item(intern_extent(start, length))
@@ -307,7 +244,8 @@ SynopsisBackend` surface: ``process`` applies pre-routed columnar work
                 backend = deserialize_backend(
                     config.backend, message[1], config
                 )
-                intern_extent = backend._interner.extent
+                if registry is not None:
+                    backend.bind_metrics(registry, index)
                 conn.send(("ok", None))
             elif op == "reset":
                 backend.reset()
@@ -325,124 +263,14 @@ SynopsisBackend` surface: ``process`` applies pre-routed columnar work
     conn.close()
 
 
-def _shard_worker_main(conn, config: AnalyzerConfig, index: int = 0,
-                       telemetry: Optional[dict] = None) -> None:
-    """Worker process entry point: serve one shard analyzer over a pipe.
-
-    When ``config`` selects a sketch backend the worker delegates to
-    :func:`_backend_worker_main` and hosts a synopsis backend instead of
-    a two-tier analyzer; same pipe protocol either way.
-
-    ``telemetry`` (picklable dict) switches on the worker's own
-    observability: ``{"metrics": bool, "metrics_interval": seconds,
-    "trace_path": str|None, "slow_threshold": seconds}``.  With metrics
-    on, the worker binds its analyzer to a real registry (labelled with
-    its shard index) and piggybacks a full cumulative ``snapshot()`` on
-    ``process`` acks at most once per interval -- the first ack always
-    ships one, so the parent is never blind after the first batch.  With
-    a trace path, the worker appends ``shard.apply`` spans (children of
-    the context the parent ships per batch) to the shared NDJSON file.
-    """
-    if getattr(config, "backend", "two-tier") != "two-tier":
-        _backend_worker_main(conn, config, index)
-        return
-
-    from ..telemetry import NULL_REGISTRY
-    from ..telemetry.tracelog import TraceContext, TraceLog
-
-    telemetry = telemetry or {}
-    registry = None
-    if telemetry.get("metrics"):
-        registry = MetricsRegistry()
-        analyzer = TypedOnlineAnalyzer(
-            config, registry=registry,
-            metric_labels={"shard": str(index)})
-    else:
-        analyzer = TypedOnlineAnalyzer(config, registry=NULL_REGISTRY)
-    tracer = None
-    if telemetry.get("trace_path"):
-        # Sample decisions were made at the trace root and travel with
-        # the shipped context; the worker's own rate stays 0.
-        tracer = TraceLog(telemetry["trace_path"], sample_rate=0.0,
-                          slow_threshold=telemetry.get(
-                              "slow_threshold", 0.25))
-    ship_interval = float(telemetry.get("metrics_interval", 0.5))
-    last_ship = float("-inf")
-    intern_extent = analyzer._interner.extent
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        op = message[0]
-        try:
-            if op == "process":
-                item_work, pair_work = message[1], message[2]
-                context = TraceContext.from_tuple(message[3]) \
-                    if len(message) > 3 else None
-                if tracer is not None and context is not None:
-                    with tracer.span("shard.apply", parent=context,
-                                     tags={"shard": index}):
-                        evicted = _apply_shard_work(
-                            analyzer, *item_work, *pair_work)
-                else:
-                    evicted = _apply_shard_work(
-                        analyzer, *item_work, *pair_work)
-                snap = None
-                if registry is not None:
-                    now = time.monotonic()
-                    if now - last_ship >= ship_interval:
-                        last_ship = now
-                        snap = registry.snapshot()
-                conn.send(("ok", (evicted, snap)))
-            elif op == "collect":
-                conn.send(("ok",
-                           registry.snapshot() if registry is not None
-                           else None))
-            elif op == "demote":
-                demote_involving = analyzer.correlations.demote_involving
-                for start, length in message[1]:
-                    demote_involving(intern_extent(start, length))
-                # Fire-and-forget: no ack, FIFO ordering is the guarantee.
-            elif op == "query":
-                _op, name, args, kwargs = message
-                conn.send(("ok", getattr(analyzer, name)(*args, **kwargs)))
-            elif op == "occupancy":
-                conn.send(
-                    ("ok", (len(analyzer.items), len(analyzer.correlations)))
-                )
-            elif op == "fetch":
-                conn.send(
-                    ("ok",
-                     (dumps_analyzer(analyzer), _side_state(analyzer)))
-                )
-            elif op == "adopt":
-                analyzer.adopt(loads_analyzer(message[1]))
-                _restore_side_state(analyzer, message[2])
-                conn.send(("ok", None))
-            elif op == "reset":
-                analyzer.reset()
-                conn.send(("ok", None))
-            elif op == "close":
-                conn.send(("ok", None))
-                break
-            else:
-                conn.send(("err", f"unknown op {op!r}"))
-        except Exception as exc:  # surface, don't kill the worker
-            try:
-                conn.send(("err", f"{type(exc).__name__}: {exc}"))
-            except (BrokenPipeError, OSError):
-                break
-    conn.close()
-
-
 class ProcessShardedAnalyzer:
     """N shard synopses in N worker processes, engine interface on top.
 
-    Drop-in for :class:`~repro.engine.sharded.ShardedAnalyzer` on the
+    Drop-in for :class:`~repro.engine.backends.host.BackendEngine` on the
     columnar lane: ``process_transaction_batch`` ingest, merged
-    ``frequent_*`` / typed queries, ``report()``, ``reset()``, and the
-    ``shard_analyzers`` property that checkpoint format v3 consumes.  The
+    ``frequent_*`` / typed / partner queries, ``report()``, ``reset()``,
+    and the ``shard_backends`` / ``adopt_backends`` state seam that
+    checkpoint format v4 and restores use.  The
     object path (``process_transaction`` etc.) is intentionally absent --
     per-event shipping would pay a pickle per event; batch through a
     monitor or :meth:`~repro.monitor.batch.TransactionBatch.\
@@ -474,8 +302,7 @@ from_transactions` instead.
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.config = config or AnalyzerConfig()
-        self.backend_name = getattr(self.config, "backend", "two-tier")
-        self._backend_mode = self.backend_name != "two-tier"
+        self.backend_name = self.config.backend
         self.shards = shards
         self._per_shard = shard_config(self.config, shards)
         self._transactions = 0
@@ -692,23 +519,15 @@ from_transactions` instead.
 
     # -- merged queries ------------------------------------------------------
 
-    @staticmethod
-    def _merge_ranked(parts: List[List[Tuple]]) -> List[Tuple]:
-        merged: List[Tuple] = []
-        for part in parts:
-            merged.extend(part)
-        merged.sort(key=lambda entry: (-entry[1], entry[0]))
-        return merged
-
     def frequent_pairs(
         self, min_support: int = 2
     ) -> List[Tuple[ExtentPair, int]]:
-        return self._merge_ranked(self._query("frequent_pairs", min_support))
+        return merge_ranked(self._query("frequent_pairs", min_support))
 
     def frequent_extents(
         self, min_support: int = 2
     ) -> List[Tuple[Extent, int]]:
-        return self._merge_ranked(self._query("frequent_extents", min_support))
+        return merge_ranked(self._query("frequent_extents", min_support))
 
     def pair_frequencies(self) -> Dict[ExtentPair, int]:
         merged: Dict[ExtentPair, int] = {}
@@ -716,13 +535,19 @@ from_transactions` instead.
             merged.update(part)
         return merged
 
+    def correlated_with(self, extent: Extent, k: int = 16
+                        ) -> List[Tuple[Extent, int]]:
+        """Partners most correlated with ``extent``: one query round over
+        the fleet, each partner's best count, top ``k``."""
+        return merge_partners(self._query("correlated_with", extent, k), k)
+
     def frequent_pairs_of_kind(
         self,
         kind: CorrelationKind,
         min_support: int = 2,
         purity: float = 0.5,
     ) -> List[Tuple[ExtentPair, int]]:
-        return self._merge_ranked(
+        return merge_ranked(
             self._query("frequent_pairs_of_kind", kind, min_support, purity)
         )
 
@@ -753,90 +578,21 @@ from_transactions` instead.
     # -- state transfer ------------------------------------------------------
 
     @property
-    def shard_analyzers(self) -> List[TypedOnlineAnalyzer]:
-        """Materialize every worker's synopsis in this process.
-
-        Checkpoint v3 (:func:`~repro.engine.checkpoint.dump_sharded`)
-        iterates this to frame one v2 envelope per shard, identically to
-        the in-process engine.  The returned analyzers are *copies*;
-        mutating them does not affect the workers.
-
-        Only meaningful in two-tier mode; in backend mode this raises
-        :class:`AttributeError` (so ``hasattr`` dispatch in
-        :func:`~repro.engine.checkpoint.dump_engine` selects the v4
-        ``shard_backends`` seam instead).
-        """
-        if self._backend_mode:
-            raise AttributeError(
-                "shard_analyzers is unavailable in backend mode; "
-                "use shard_backends"
-            )
-        from ..telemetry import NULL_REGISTRY
-
-        analyzers: List[TypedOnlineAnalyzer] = []
-        for blob, side in self._request_all(("fetch",)):
-            restored = loads_analyzer(blob)
-            typed = TypedOnlineAnalyzer(restored.config,
-                                        registry=NULL_REGISTRY)
-            typed.adopt(restored)
-            _restore_side_state(typed, side)
-            analyzers.append(typed)
-        return analyzers
-
-    @property
     def shard_backends(self) -> List:
         """Materialize every worker's synopsis backend in this process.
 
-        Checkpoint v4 (:func:`~repro.engine.checkpoint.\
-dump_backend_engine`) iterates this; the returned backends are
-        *copies* deserialized from the workers' payloads.  Only
-        meaningful in backend mode; raises :class:`AttributeError` in
-        two-tier mode (``hasattr`` dispatch again).
+        Checkpoint v4 (:func:`~repro.engine.checkpoint.dump_engine`)
+        iterates this; the returned backends are *copies* deserialized
+        from the workers' payloads -- mutating them does not affect the
+        workers.
         """
-        if not self._backend_mode:
-            raise AttributeError(
-                "shard_backends is unavailable in two-tier mode; "
-                "use shard_analyzers"
-            )
-        from .backends import deserialize_backend
-
         return [
             deserialize_backend(self.backend_name, payload, self._per_shard)
             for payload in self._request_all(("fetch",))
         ]
 
-    def adopt_shards(self, analyzers: Sequence[OnlineAnalyzer]) -> None:
-        """Ship restored per-shard synopses into the workers (in order)."""
-        if self._backend_mode:
-            raise ShardWorkerError(
-                "adopt_shards is unavailable in backend mode; "
-                "use adopt_backends"
-            )
-        if len(analyzers) != self.shards:
-            raise ValueError(
-                f"got {len(analyzers)} shard analyzers for "
-                f"{self.shards} workers"
-            )
-        self._check_open()
-        for index, analyzer in enumerate(analyzers):
-            if isinstance(analyzer, TypedOnlineAnalyzer):
-                side = _side_state(analyzer)
-            else:
-                side = ([], analyzer.items.stats.as_dict(),
-                        analyzer.correlations.stats.as_dict(),
-                        (analyzer._transactions, analyzer._extents_seen,
-                         analyzer._pairs_seen))
-            self._send(index, ("adopt", dumps_analyzer(analyzer), side))
-        for index in range(self.shards):
-            self._reply(index)
-
     def adopt_backends(self, backends: Sequence) -> None:
         """Ship restored per-shard backends into the workers (in order)."""
-        if not self._backend_mode:
-            raise ShardWorkerError(
-                "adopt_backends is unavailable in two-tier mode; "
-                "use adopt_shards"
-            )
         if len(backends) != self.shards:
             raise ValueError(
                 f"got {len(backends)} shard backends for "
@@ -854,6 +610,15 @@ dump_backend_engine`) iterates this; the returned backends are
         for index in range(self.shards):
             self._reply(index)
 
+    def adopt(self, other) -> None:
+        """Take over another sharded host's learned state: its backends
+        go into the live workers, its flow counters into the engine."""
+        self.adopt_backends(other.shard_backends)
+        report = other.report()
+        self._transactions = report.transactions
+        self._extents_seen = report.extents_seen
+        self._pairs_seen = report.pairs_seen
+
     # -- reporting and lifecycle ---------------------------------------------
 
     def report(self) -> AnalyzerReport:
@@ -863,8 +628,8 @@ dump_backend_engine`) iterates this; the returned backends are
             transactions=self._transactions,
             extents_seen=self._extents_seen,
             pairs_seen=self._pairs_seen,
-            item_stats=_merged_stats(r.item_stats for r in reports),
-            correlation_stats=_merged_stats(
+            item_stats=merged_stats(r.item_stats for r in reports),
+            correlation_stats=merged_stats(
                 r.correlation_stats for r in reports
             ),
         )

@@ -122,6 +122,17 @@ _STAT_HELP = {
     "window_clamps": "Degenerate window durations clamped to zero",
 }
 
+#: Why :meth:`Monitor.on_batch` replayed a batch through the scalar lane
+#: (the ``reason`` label of ``repro_monitor_columnar_fallbacks_total``).
+FALLBACK_REASONS = (
+    "grouping",          # FIXED grouping has no vectorized cut
+    "unordered",         # timestamps go backwards inside the batch
+    "behind_high_water",  # the batch starts behind the monitor's clock
+    "negative_latency",  # the scalar lane raises at the right position
+    "degenerate_window",  # zero/negative/NaN window needs clamping
+    "window_policy",     # the policy cannot precompute its durations
+)
+
 
 class Monitor:
     """Groups block I/O issue events into transactions."""
@@ -180,8 +191,20 @@ class Monitor:
         registry = registry if registry is not None else \
             get_default_registry()
         self.registry = registry
+        # Kept off MonitorStats: the lanes must agree on those, while
+        # fallbacks only ever happen on the columnar lane.
+        self._fallback_counters = None
         if not registry.enabled:
             return
+        fallbacks = registry.counter(
+            "repro_monitor_columnar_fallbacks_total",
+            "Columnar batches replayed through the scalar lane",
+            labelnames=("reason",),
+        )
+        self._fallback_counters = {
+            reason: fallbacks.labels(reason=reason)
+            for reason in FALLBACK_REASONS
+        }
         self._stat_counters = {
             name: registry.counter(f"repro_monitor_{name}_total", help)
             for name, help in _STAT_HELP.items()
@@ -322,6 +345,12 @@ class Monitor:
 
     # -- the columnar ingest lane -------------------------------------------
 
+    def _fall_back(self, batch: EventBatch, reason: str) -> int:
+        """Replay a batch through the scalar core, counting why."""
+        if self._fallback_counters is not None:
+            self._fallback_counters[reason].inc()
+        return self._ingest(batch.iter_events())
+
     def on_batch(self, batch: EventBatch) -> int:
         """Consume a columnar :class:`EventBatch`; returns events seen.
 
@@ -335,13 +364,14 @@ class Monitor:
         :meth:`~repro.monitor.window.WindowPolicy.durations_after`
         supports batching.  Any other batch falls back to the scalar
         ingest core, so correctness never depends on the fast path
-        being taken.
+        being taken; ``repro_monitor_columnar_fallbacks_total{reason}``
+        counts each fallback.
         """
         n = len(batch)
         if n == 0:
             return 0
         if self.grouping is not GroupingMode.GAP:
-            return self._ingest(batch.iter_events())
+            return self._fall_back(batch, "grouping")
 
         # The filter mask is computed up front so the fast-path checks see
         # only the events that would survive; nothing is counted yet, so a
@@ -375,20 +405,20 @@ class Monitor:
         # and the ValueError position for negative latencies.  All checks
         # precede durations_after() because that call advances window state.
         if np.any(np.diff(ts_kept) < 0):
-            return self._ingest(batch.iter_events())
+            return self._fall_back(batch, "unordered")
         if self._high_water is not None and ts_kept[0] < self._high_water:
-            return self._ingest(batch.iter_events())
+            return self._fall_back(batch, "behind_high_water")
         if np.any(lat_kept < 0):
-            return self._ingest(batch.iter_events())
+            return self._fall_back(batch, "negative_latency")
         d0 = self.window.duration()
         if not (d0 > 0.0):
-            return self._ingest(batch.iter_events())
+            return self._fall_back(batch, "degenerate_window")
         observed = ~np.isnan(lat_kept)
         durations_observed = self.window.durations_after(
             lat_kept[observed].tolist()
         )
         if durations_observed is None:
-            return self._ingest(batch.iter_events())
+            return self._fall_back(batch, "window_policy")
 
         # Window duration in effect at each event: the value after the most
         # recent latency observation at or before it (d0 before the first).

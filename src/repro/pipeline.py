@@ -22,9 +22,7 @@ from .cache.stats import CacheStats
 from .core.analyzer import OnlineAnalyzer
 from .core.config import AnalyzerConfig
 from .core.extent import ExtentPair
-from .engine.backends.host import BackendEngine
-from .engine.procshard import ProcessShardedAnalyzer
-from .engine.sharded import ShardedAnalyzer
+from .engine import build_engine
 from .monitor.batch import EventBatch, TransactionBatch
 from .monitor.monitor import (
     DEFAULT_MAX_TRANSACTION_SIZE,
@@ -42,8 +40,9 @@ from .trace.record import TraceRecord
 class PipelineResult:
     """Everything one end-to-end run produces.
 
-    ``analyzer`` is whichever synopsis engine the run used: a (typed)
-    :class:`OnlineAnalyzer` or a sharded engine -- both answer
+    ``analyzer`` is whichever synopsis engine the run used: a typed
+    :class:`OnlineAnalyzer` or a sharded engine (see
+    :func:`~repro.engine.build_engine`) -- both answer
     ``frequent_pairs`` / ``pair_frequencies`` / ``report()``.
     """
 
@@ -210,9 +209,10 @@ def run_pipeline(
     Set ``collect_events`` to keep every issue event in the result (memory
     proportional to the trace; off by default).
 
-    ``shards > 1`` characterizes with a hash-partitioned
-    :class:`~repro.engine.sharded.ShardedAnalyzer` (N shard synopses at
-    ``capacity / N`` each) instead of a single analyzer.  ``batch_size``
+    The engine comes from :func:`~repro.engine.build_engine`: a single
+    typed analyzer by default, and with ``shards > 1`` a hash-partitioned
+    :class:`~repro.engine.backends.host.BackendEngine` (N shard synopses
+    at ``capacity / N`` each).  ``batch_size``
     buffers that many issue events and feeds them through the monitor's
     amortized batch path (:meth:`Monitor.on_events`) instead of one call
     per event -- results are identical, ingest is faster.  ``columnar``
@@ -229,11 +229,10 @@ def run_pipeline(
     :meth:`PipelineResult.release` when done with the result).  ``None``
     processes shards sequentially.
 
-    A pre-built ``analyzer`` may be injected (e.g. a
-    :class:`~repro.core.typed.TypedOnlineAnalyzer` to track R/W correlation
-    types, or an analyzer carried over from a previous run for continuous
-    operation); analyzers exposing ``process_transaction`` receive the full
-    transaction, others receive the extent list.
+    A pre-built ``analyzer`` may be injected (e.g. a plain
+    :class:`OnlineAnalyzer`, or an engine carried over from a previous run
+    for continuous operation); analyzers exposing ``process_transaction``
+    receive the full transaction, others receive the extent list.
 
     ``registry`` selects the telemetry registry the monitor and any
     internally constructed analyzer publish to (``None``: the
@@ -262,20 +261,9 @@ def run_pipeline(
             f"parallel must be None, 'thread' or 'process', got {parallel!r}"
         )
     if analyzer is None:
-        backend = getattr(config, "backend", "two-tier") \
-            if config is not None else "two-tier"
-        if parallel == "process":
-            analyzer = ProcessShardedAnalyzer(config or AnalyzerConfig(),
-                                              shards=shards,
-                                              registry=registry)
-        elif backend != "two-tier":
-            analyzer = BackendEngine(config, shards=shards,
-                                     registry=registry)
-        elif shards > 1:
-            analyzer = ShardedAnalyzer(config or AnalyzerConfig(),
-                                       shards=shards, registry=registry)
-        else:
-            analyzer = OnlineAnalyzer(config, registry=registry)
+        analyzer = build_engine(config, shards=shards,
+                                processes=parallel == "process",
+                                registry=registry)
     elif config is not None:
         raise ValueError("pass either a config or a pre-built analyzer")
     monitor = Monitor(

@@ -194,7 +194,7 @@ def crash_before_rename(after_writes: int = 0):
     exact window where the temp file is fully written and fsynced but the
     atomic rename has not happened -- the narrowest interval in which a
     real crash could conceivably hurt.  Both the v2
-    (:func:`~repro.core.serialize.save_checkpoint`) and v3
+    (:func:`~repro.core.serialize.save_checkpoint`) and engine
     (:func:`~repro.engine.checkpoint.save_engine_checkpoint`) writers
     share the hook.  Yields a one-element list that ends up holding the
     number of saves that ran (crashed one included).

@@ -9,8 +9,8 @@ monitor).  It adds:
   capped exponential backoff;
 * **corruption fallback** -- :meth:`restore_from` rejects a corrupt
   checkpoint (:class:`~repro.core.serialize.CheckpointCorruptError` is
-  never retried: corruption is deterministic) and continues serving with a
-  fresh analyzer, flagged *degraded* rather than crashed;
+  never retried: corruption is deterministic) and continues serving with
+  the same engine reset to empty, flagged *degraded* rather than crashed;
 * **observer isolation** -- snapshot observers registered through
   :meth:`observe` are wrapped in :class:`~repro.resilience.guard.SinkGuard`
   so a crashing optimizer hook is counted and, after repeated failures,
@@ -25,15 +25,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from ..core.serialize import CheckpointCorruptError, save_checkpoint
-from ..core.typed import TypedOnlineAnalyzer
+from ..core.serialize import CheckpointCorruptError
 from ..engine.checkpoint import (
-    as_typed_engine,
     load_engine_checkpoint,
     save_engine_checkpoint,
 )
-from ..engine.backends.host import BackendEngine
-from ..engine.sharded import ShardedAnalyzer
 from ..service import CharacterizationService, SnapshotObserver
 from .guard import DEFAULT_FAILURE_LIMIT, SinkGuard
 from .policy import BackoffPolicy
@@ -175,19 +171,12 @@ class ResilientCharacterizationService(CharacterizationService):
                 self._checkpoint_retries += 1
 
     def _save_current(self, path) -> int:
-        """Write the current engine: v3/v4 via the engine container for
-        a sharded or backend engine, format v2 via
-        :func:`~repro.core.serialize.save_checkpoint` for a single one.
-        Dispatch rides the ``shard_analyzers``/``shard_backends`` seams
-        (not a base class) so thread- and process-backed engines of
-        either mode all take the engine-container path.  Both names
-        resolve through module globals so tests (and hosts) can
-        substitute the I/O layer.
+        """Write the current engine atomically (format v4 for a sharded
+        engine, v2 for the single analyzer).  The writer resolves through
+        the module globals so tests (and hosts) can substitute the I/O
+        layer.
         """
-        if hasattr(self.analyzer, "shard_analyzers") or \
-                hasattr(self.analyzer, "shard_backends"):
-            return save_engine_checkpoint(self.analyzer, path)
-        return save_checkpoint(self.analyzer, path)
+        return save_engine_checkpoint(self.analyzer, path)
 
     def checkpoint_to(self, path) -> int:
         """Atomically checkpoint to ``path``, retrying transient failures.
@@ -211,13 +200,16 @@ class ResilientCharacterizationService(CharacterizationService):
 
         A corrupt checkpoint (bad CRC, torn structure) is *never* loaded
         -- and never retried, since corruption is deterministic.  A
-        sharded (format v3) checkpoint restores *per shard*: a corrupt
+        sharded (format v3/v4) checkpoint restores *per shard*: a corrupt
         shard envelope is replaced with a fresh synopsis while every
         intact shard keeps its learned state, and the service reports
-        itself degraded rather than discarding everything.  Only
-        whole-file corruption (v2, or broken v3 framing, or every shard
-        corrupt) falls back to a completely fresh analyzer -- because a
-        monitor with an empty synopsis still beats a dead monitor.
+        itself degraded rather than discarding everything.  The loaded
+        engine goes through the same adopt-or-swap step as
+        :meth:`restore`, so a process-backed engine keeps its fleet.
+        Only whole-file corruption (v2, broken framing, or every shard
+        corrupt) falls back to the current engine reset to empty --
+        because a monitor with an empty synopsis still beats a dead
+        monitor.
         """
         try:
             loaded = self._with_retries(
@@ -232,9 +224,7 @@ class ResilientCharacterizationService(CharacterizationService):
             self._restore_failures += 1
             self._fallback_fresh(f"checkpoint unreadable: {exc}")
             return False
-        self.analyzer = as_typed_engine(loaded)
-        self.analyzer.rebind_metrics(self.registry)
-        self.shards = getattr(self.analyzer, "shards", 1)
+        self._adopt_or_swap(loaded.engine)
         if loaded.corrupt_shards:
             self._restore_failures += 1
             self._degraded_restores += 1
@@ -245,18 +235,7 @@ class ResilientCharacterizationService(CharacterizationService):
         return True
 
     def _fallback_fresh(self, reason: str) -> None:
-        if isinstance(self.analyzer, BackendEngine):
-            fresh = BackendEngine(self.analyzer.config,
-                                  shards=self.analyzer.shards,
-                                  registry=self.registry)
-        elif isinstance(self.analyzer, ShardedAnalyzer):
-            fresh = ShardedAnalyzer(self.analyzer.config,
-                                    shards=self.analyzer.shards,
-                                    registry=self.registry)
-        else:
-            fresh = TypedOnlineAnalyzer(self.analyzer.config,
-                                        registry=self.registry)
-        self.analyzer = fresh
+        self.analyzer.reset()
         self._mark_degraded(reason)
 
     def _mark_degraded(self, reason: str) -> None:

@@ -15,17 +15,18 @@ monitor + synopsis engine into that service shape:
   engine as :class:`~repro.monitor.batch.TransactionBatch` columns;
   smaller lists keep the amortized object path (optionally processed
   thread-per-shard when the engine is sharded);
-* ``shards > 1`` backs the service with a
-  :class:`~repro.engine.sharded.ShardedAnalyzer` instead of a single
-  analyzer -- same queries, hash-partitioned tables; ``shard_processes``
-  upgrades that to a :class:`~repro.engine.procshard.ProcessShardedAnalyzer`
-  (one worker *process* per shard, sidestepping the GIL) -- call
+* :func:`repro.engine.build_engine` picks the synopsis engine: a single
+  typed analyzer, or with ``shards > 1`` (or a sketch backend) a
+  :class:`~repro.engine.backends.host.BackendEngine` -- same queries,
+  hash-partitioned tables; ``shard_processes`` upgrades that to a
+  :class:`~repro.engine.procshard.ProcessShardedAnalyzer` (one worker
+  *process* per shard, sidestepping the GIL) -- call
   :meth:`~CharacterizationService.release` when done with the service so
   the worker fleet shuts down cleanly;
 * :meth:`snapshot` returns the current frequent correlations (optionally
   by R/W kind) without stopping ingestion;
 * :meth:`checkpoint` / :meth:`restore` persist the synopsis -- format v2
-  for a single analyzer, format v3 (per-shard CRC envelopes) for a
+  for a single analyzer, format v4 (per-shard CRC envelopes) for a
   sharded engine (see :mod:`repro.core.serialize` and
   :mod:`repro.engine.checkpoint`);
 * registered observers are notified every ``snapshot_interval``
@@ -54,10 +55,10 @@ from typing import (
 from .core.config import AnalyzerConfig
 from .core.extent import ExtentPair
 from .core.typed import CorrelationKind, TypedOnlineAnalyzer
+from .engine import build_engine
 from .engine.backends.host import BackendEngine
-from .engine.checkpoint import as_typed_engine, dump_engine, load_engine
+from .engine.checkpoint import dump_engine, load_engine
 from .engine.procshard import ProcessShardedAnalyzer
-from .engine.sharded import ShardedAnalyzer
 from .monitor.batch import EventBatch, TransactionBatch
 from .monitor.events import BlockIOEvent
 from .monitor.monitor import (
@@ -79,8 +80,7 @@ SnapshotObserver = Callable[["ServiceSnapshot"], None]
 
 #: The engine types a service may be backed by.
 ServiceEngine = Union[
-    TypedOnlineAnalyzer, ShardedAnalyzer, ProcessShardedAnalyzer,
-    BackendEngine,
+    TypedOnlineAnalyzer, BackendEngine, ProcessShardedAnalyzer,
 ]
 
 #: Event lists at least this long are converted to a columnar
@@ -142,7 +142,8 @@ class CharacterizationService:
     ) -> None:
         """``shards`` selects the synopsis engine: 1 keeps the classic
         single typed analyzer; N > 1 hash-partitions the tables across N
-        shard synopses at ``capacity / N`` each.  ``parallel_shards``
+        shard synopses at ``capacity / N`` each (see
+        :func:`~repro.engine.build_engine`).  ``parallel_shards``
         additionally processes batched ingest (:meth:`submit_many`) with
         one worker thread per shard.  ``shard_processes`` backs the
         shards with one worker *process* each instead (a
@@ -179,23 +180,10 @@ class CharacterizationService:
         registry = registry if registry is not None else \
             get_default_registry()
         self.registry = registry
-        config = config or AnalyzerConfig()
-        if shard_processes:
-            # Handles both modes: two-tier analyzer workers, or one
-            # synopsis backend per worker when the config selects one.
-            self.analyzer: ServiceEngine = ProcessShardedAnalyzer(
-                config, shards=shards, registry=registry
-            )
-        elif config.backend != "two-tier":
-            self.analyzer = BackendEngine(
-                config, shards=shards, registry=registry
-            )
-        elif shards == 1:
-            self.analyzer = TypedOnlineAnalyzer(config, registry=registry)
-        else:
-            self.analyzer = ShardedAnalyzer(
-                config, shards=shards, registry=registry
-            )
+        self.analyzer: ServiceEngine = build_engine(
+            config, shards=shards, processes=shard_processes,
+            registry=registry,
+        )
         self.monitor = Monitor(
             window=window if window is not None else DynamicLatencyWindow(),
             max_transaction_size=max_transaction_size,
@@ -367,6 +355,9 @@ class CharacterizationService:
         beyond the flush.
         """
         self.close()
+        self._release_engine()
+
+    def _release_engine(self) -> None:
         engine_close = getattr(self.analyzer, "close", None)
         if engine_close is not None:
             engine_close()
@@ -489,10 +480,10 @@ class CharacterizationService:
         """Persist the synopsis; returns bytes written.
 
         Open transactions are flushed first so nothing in flight is lost.
-        A sharded engine is written as a format-v3 checkpoint (one CRC
-        envelope per shard); a single analyzer keeps format v2.  Note the
-        typed sidecar (R/W mixes) is rebuilt from future traffic after a
-        restore; the tables themselves restore exactly.
+        A sharded engine is written as a format-v4 checkpoint (one CRC
+        envelope per shard, R/W tallies included); a single analyzer keeps
+        format v2, whose typed sidecar (R/W mixes) is rebuilt from future
+        traffic after a restore.
         """
         self.flush()
         if self._submit_hist is not None:
@@ -502,40 +493,36 @@ class CharacterizationService:
     def restore(self, stream: BinaryIO) -> None:
         """Replace the synopsis with a previously checkpointed one.
 
-        Either checkpoint format restores: a v3 checkpoint rebuilds a
-        sharded engine (with that checkpoint's shard count), v1/v2 a
-        single typed analyzer.  A process-backed engine whose worker
-        count matches the checkpoint's shard count adopts the shards
-        into its live fleet; on a shape mismatch the fleet is released
-        and the engine replaced by an in-process one.
+        Every checkpoint format restores (see :meth:`_adopt_or_swap`): into
+        the live engine when its layout matches the checkpoint's, else as
+        a replacement engine of the checkpoint's layout.
         """
         if self._submit_hist is not None:
             self._checkpoint_counter.labels(op="restore").inc()
-        loaded = load_engine(stream, strict=True)
-        current = self.analyzer
-        if isinstance(current, ProcessShardedAnalyzer) and not current.closed:
-            if current.backend_name != "two-tier":
-                backend_states = getattr(
-                    loaded.engine, "shard_backends", None
-                )
-                if backend_states is not None \
-                        and len(backend_states) == current.shards \
-                        and getattr(loaded.engine, "backend_name", None) \
-                        == current.backend_name:
-                    current.adopt_backends(backend_states)
-                    return
-            else:
-                shard_states = getattr(
-                    loaded.engine, "shard_analyzers", None
-                )
-                if shard_states is not None \
-                        and len(shard_states) == current.shards:
-                    current.adopt_shards(shard_states)
-                    return
-            current.close()
-        self.analyzer = as_typed_engine(loaded)
-        self.analyzer.rebind_metrics(self.registry)
-        if isinstance(self.analyzer, (ShardedAnalyzer, BackendEngine)):
-            self.shards = self.analyzer.shards
-        else:
-            self.shards = 1
+        self._adopt_or_swap(load_engine(stream, strict=True).engine)
+
+    def _adopt_or_swap(self, engine) -> None:
+        """Put a restored engine in service.
+
+        When the live engine has the restored one's layout -- the same
+        backend on the same shard count, or both the single analyzer --
+        it adopts the restored state, so a process-backed engine keeps
+        its worker fleet and the telemetry bindings stay.  Otherwise, or
+        when the live fleet was already released, the live engine is
+        released and the restored one takes its place.
+        """
+        if _layout(engine) == _layout(self.analyzer) \
+                and not getattr(self.analyzer, "closed", False):
+            self.analyzer.adopt(engine)
+            return
+        self._release_engine()
+        self.analyzer = engine
+        engine.rebind_metrics(self.registry)
+        self.shards = _layout(engine)[1]
+        self.shard_processes = False
+
+
+def _layout(engine) -> Tuple[Optional[str], int]:
+    """``(backend, shards)`` of a sharded engine; ``(None, 1)`` for the
+    single analyzer, which has neither."""
+    return getattr(engine, "backend_name", None), getattr(engine, "shards", 1)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.analyzer import OnlineAnalyzer
 from repro.core.config import AnalyzerConfig
 from repro.core.extent import ExtentPair
+from repro.core.two_tier import TableStats
 
 from conftest import ext, pair
 
@@ -137,6 +138,7 @@ class TestReportAndReset:
         analyzer.process_stream(simple_transactions)
         analyzer.reset()
         assert analyzer.report().transactions == 0
+        assert analyzer.report().correlation_stats == TableStats()
         assert analyzer.pair_frequencies() == {}
         assert len(analyzer.items) == 0
 

@@ -43,13 +43,12 @@ from repro.engine.backends import (
     create_backend,
 )
 from repro.engine.backends.host import BackendEngine
+from repro.engine import shard_config
 from repro.engine.checkpoint import (
-    as_typed_engine,
     dump_engine,
     load_engine,
 )
 from repro.core.serialize import CheckpointCorruptError
-from repro.engine.sharded import shard_config
 from repro.service import CharacterizationService
 from repro.telemetry import NULL_REGISTRY
 
@@ -289,7 +288,7 @@ class TestCheckpointV4:
         buf.seek(0)
         loaded = load_engine(buf, strict=True)
         assert loaded.corrupt_shards == []
-        restored = as_typed_engine(loaded)
+        restored = loaded.engine
         assert isinstance(restored, BackendEngine)
         assert restored.backend_name == name
         assert restored.shards == engine.shards
@@ -459,9 +458,8 @@ class TestProcessShardedBackends:
             assert ExtentPair(HOT[0][0], HOT[0][1]) in top
             assert engine.report().transactions == len(stream)
 
-            # The analyzer seam is mode-gated both ways.
-            with pytest.raises(AttributeError):
-                engine.shard_analyzers
+            # One state seam, whatever the backend.
+            assert not hasattr(engine, "shard_analyzers")
             backends = engine.shard_backends
             assert len(backends) == 2
             assert all(backend.name == name for backend in backends)
@@ -470,7 +468,7 @@ class TestProcessShardedBackends:
             buf = io.BytesIO()
             dump_engine(engine, buf)
             buf.seek(0)
-            restored = as_typed_engine(load_engine(buf))
+            restored = load_engine(buf).engine
             assert isinstance(restored, BackendEngine)
             assert restored.frequent_pairs(1)[:10] == \
                 engine.frequent_pairs(1)[:10]

@@ -14,7 +14,6 @@ from repro.cache import (
     OfflineMiner,
     SimulatedBlockCache,
     SynopsisPrefetcher,
-    correlated_partners,
     make_policy,
     run_closed_loop,
     simulate_cache,
@@ -22,7 +21,13 @@ from repro.cache import (
 from repro.core.analyzer import OnlineAnalyzer
 from repro.core.extent import Extent
 from repro.engine.backends import BACKEND_NAMES, create_backend
+from repro.engine.procshard import ProcessShardedAnalyzer
+from repro.monitor.batch import TransactionBatch
+from repro.monitor.events import BlockIOEvent
+from repro.monitor.transaction import Transaction
+from repro.telemetry import NULL_REGISTRY
 from repro.telemetry.metrics import MetricsRegistry
+from repro.trace.record import OpType
 
 
 def one_block(i):
@@ -199,19 +204,43 @@ def alternating_pair_transactions(pairs=8, rounds=40):
     return txns
 
 
+def process_sharded_engine(txns):
+    """A two-shard worker fleet trained on ``txns`` (one columnar batch)."""
+    clock, transactions = 0.0, []
+    for txn in txns:
+        events = []
+        for extent in txn:
+            clock += 1e-6
+            events.append(BlockIOEvent(clock, 1, OpType.READ,
+                                       extent.start, extent.length))
+        transactions.append(Transaction(events))
+    engine = ProcessShardedAnalyzer(shards=2, registry=NULL_REGISTRY)
+    engine.process_transaction_batch(
+        TransactionBatch.from_transactions(transactions))
+    return engine
+
+
 class TestSynopsisPrefetcher:
-    @pytest.mark.parametrize("backend", sorted(BACKEND_NAMES))
+    @pytest.mark.parametrize("backend", sorted(BACKEND_NAMES) + ["procs"])
     def test_partner_query_identical_across_backends(self, backend):
-        """Satellite 3b: the prefetcher behaves the same against every
-        synopsis backend on an alternating-pairs stream."""
-        engine = create_backend(backend)
+        """The prefetcher behaves the same against every synopsis backend,
+        and against a process-sharded engine, on an alternating-pairs
+        stream."""
         txns = alternating_pair_transactions()
-        for txn in txns:
-            engine.process(txn)
+        if backend == "procs":
+            engine = process_sharded_engine(txns)
+        else:
+            engine = create_backend(backend)
+            for txn in txns:
+                engine.process(txn)
         prefetcher = SynopsisPrefetcher(engine, budget=1, min_support=2)
-        for a, b in set(map(tuple, txns)):
-            assert prefetcher.partners_of(a) == [b]
-            assert prefetcher.partners_of(b) == [a]
+        try:
+            for a, b in set(map(tuple, txns)):
+                assert prefetcher.partners_of(a) == [b]
+                assert prefetcher.partners_of(b) == [a]
+        finally:
+            if backend == "procs":
+                engine.close()
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_NAMES))
     def test_closed_loop_hit_ratio_identical_across_backends(self, backend):
@@ -285,21 +314,6 @@ class TestSynopsisPrefetcher:
         with pytest.raises(ValueError):
             SynopsisPrefetcher(analyzer, backoff_accuracy=0.8,
                                restore_accuracy=0.2)
-
-    def test_correlated_partners_scan_fallback(self):
-        class PairsOnly:
-            def __init__(self, analyzer):
-                self._analyzer = analyzer
-
-            def pair_frequencies(self):
-                return self._analyzer.pair_frequencies()
-
-        analyzer = OnlineAnalyzer()
-        for _ in range(3):
-            analyzer.process([Extent(0, 1), Extent(8, 1)])
-        via_index = correlated_partners(analyzer, Extent(0, 1), 4)
-        via_scan = correlated_partners(PairsOnly(analyzer), Extent(0, 1), 4)
-        assert via_index == via_scan == [(Extent(8, 1), 3)]
 
 
 class TestOfflineMiner:

@@ -8,11 +8,13 @@ event stream through
   disabled), and
 * the columnar lane (``submit_many`` over :class:`EventBatch` chunks)
 
-produces *identical* :class:`MonitorStats` and identical top-k frequent
-pairs -- on a Zipf-correlated stream and an MSR-like enterprise stream,
-with both static and dynamic (EWMA) windows, at ``shards=1`` (the
-single-analyzer tally-identity anchor) and ``shards=4``.  A separate
-check pins the thread-parallel columnar path to its object-path twin.
+produces *identical* :class:`MonitorStats`, identical top-k frequent
+pairs and identical R/W kind summaries -- on a Zipf-correlated stream and
+an MSR-like enterprise stream, with both static and dynamic (EWMA)
+windows, at ``shards=1`` (the single-analyzer tally-identity anchor) and
+``shards=4`` -- and that the columnar lane really ran columnar (its
+fallback counter stays 0).  A separate check pins the thread-parallel
+columnar path to its object-path twin.
 """
 
 import random
@@ -22,9 +24,10 @@ import pytest
 from repro.core.config import AnalyzerConfig
 from repro.monitor.batch import EventBatch
 from repro.monitor.events import BlockIOEvent
+from repro.monitor.monitor import Monitor
 from repro.monitor.window import DynamicLatencyWindow, StaticWindow
 from repro.service import CharacterizationService
-from repro.telemetry import NULL_REGISTRY
+from repro.telemetry import NULL_REGISTRY, MetricsRegistry, snapshot
 from repro.trace.record import OpType
 from repro.workloads.enterprise import generate_named
 
@@ -78,12 +81,20 @@ def msr_events(name="hm", count=6000, seed=7):
     ]
 
 
-def run_lane(events, lane, *, shards, window, parallel_shards=False):
+def fallbacks(registry):
+    """Columnar batches the monitor replayed through the scalar lane."""
+    family = snapshot(registry)["metrics"].get(
+        "repro_monitor_columnar_fallbacks_total", {"samples": []})
+    return sum(sample["value"] for sample in family["samples"])
+
+
+def run_lane(events, lane, *, shards, window, parallel_shards=False,
+             registry=NULL_REGISTRY):
     service = CharacterizationService(
         config=CONFIG,
         window=window,
         min_support=1,
-        registry=NULL_REGISTRY,
+        registry=registry,
         shards=shards,
         parallel_shards=parallel_shards,
         columnar_threshold=None if lane == "object" else CHUNK,
@@ -98,10 +109,12 @@ def run_lane(events, lane, *, shards, window, parallel_shards=False):
                 chunk = EventBatch.from_events(chunk)
             service.submit_many(chunk)
     service.close()
+    snap = service.snapshot()
     return (
         service.monitor.stats,
-        service.snapshot().frequent_pairs[:TOP_K],
+        snap.frequent_pairs[:TOP_K],
         service.transactions,
+        snap.kind_summary,
     )
 
 
@@ -117,18 +130,23 @@ def test_three_lanes_agree(stream, shards):
     make_events, window = STREAMS[stream]
     events = make_events()
     reference = None
+    registry = MetricsRegistry()
     for lane in ("per_event", "object", "columnar"):
         lane_window = window if window is not None \
             else DynamicLatencyWindow()
-        result = run_lane(events, lane, shards=shards, window=lane_window)
+        result = run_lane(events, lane, shards=shards, window=lane_window,
+                          registry=registry if lane == "columnar"
+                          else NULL_REGISTRY)
         if reference is None:
             reference = result
             continue
-        ref_stats, ref_pairs, ref_txns = reference
-        stats, pairs, txns = result
+        ref_stats, ref_pairs, ref_txns, ref_kinds = reference
+        stats, pairs, txns, kinds = result
         assert stats == ref_stats, f"{stream}/{shards}: {lane} stats differ"
         assert pairs == ref_pairs, f"{stream}/{shards}: {lane} pairs differ"
         assert txns == ref_txns
+        assert kinds == ref_kinds, f"{stream}/{shards}: {lane} kinds differ"
+    assert fallbacks(registry) == 0
 
 
 def test_thread_parallel_columnar_matches_object_path():
@@ -140,3 +158,17 @@ def test_thread_parallel_columnar_matches_object_path():
                                window=StaticWindow(0.002),
                                parallel_shards=True)
     assert columnar_result == object_result
+
+
+def test_backwards_batch_counts_one_fallback():
+    registry = MetricsRegistry()
+    monitor = Monitor(window=StaticWindow(0.002), registry=registry)
+    events = [BlockIOEvent(t, 1, OpType.READ, 8 * i, 8)
+              for i, t in enumerate((0.0, 0.002, 0.001, 0.003))]
+    assert monitor.on_events(EventBatch.from_events(events)) == 4
+    assert fallbacks(registry) == 1
+    family = snapshot(registry)["metrics"][
+        "repro_monitor_columnar_fallbacks_total"]
+    counted = {sample["labels"]["reason"]: sample["value"]
+               for sample in family["samples"] if sample["value"]}
+    assert counted == {"unordered": 1}

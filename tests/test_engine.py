@@ -1,31 +1,32 @@
-"""The sharded synopsis engine: equivalence, recall, and checkpoint v3.
+"""The sharded synopsis engine: equivalence, recall, and checkpoints.
 
-The contract under test (ISSUE 2 acceptance criteria):
+The contract under test:
 
-* ``ShardedAnalyzer(shards=1)`` is tally-identical to ``OnlineAnalyzer``
-  (and to ``TypedOnlineAnalyzer`` on the typed path) on any stream;
+* ``BackendEngine`` hosting the two-tier tables on one shard is
+  tally-identical to ``OnlineAnalyzer`` (and to ``TypedOnlineAnalyzer`` on
+  the typed path, R/W tallies included) on any stream;
 * with 4 shards at equal total capacity it recalls >= 0.95 of the single
   analyzer's frequent pairs on a Zipf workload;
-* checkpoint v3 round-trips exactly, and a single corrupt shard degrades
-  (fresh shard + degraded health) instead of destroying the synopsis;
+* checkpoint v3 files (framed by hand here: no engine writes them any
+  more) still load exactly, and a single corrupt shard degrades (fresh
+  shard + degraded health) instead of destroying the synopsis;
 * the batched ingest paths (``Monitor.on_events``, ``submit_many``,
   ``process_batch``) match their per-event/per-transaction equivalents.
 """
 
 import io
 import random
+import struct
 
 import pytest
 
 from repro.core.analyzer import OnlineAnalyzer
 from repro.core.config import AnalyzerConfig
 from repro.core.extent import Extent
-from repro.core.serialize import CheckpointCorruptError
+from repro.core.serialize import CheckpointCorruptError, dumps_analyzer
 from repro.core.typed import CorrelationKind, TypedOnlineAnalyzer
 from repro.engine import (
-    ShardedAnalyzer,
-    SingleAnalyzerEngine,
-    SynopsisEngine,
+    BackendEngine,
     dump_engine,
     load_engine,
     shard_config,
@@ -114,7 +115,7 @@ def assert_tally_identical(left, right):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_one_shard_matches_single_analyzer(seed):
     single = OnlineAnalyzer(SMALL)
-    sharded = ShardedAnalyzer(SMALL, shards=1)
+    sharded = BackendEngine(SMALL, shards=1)
     for transaction in random_transactions(seed):
         single.process(transaction)
         sharded.process(transaction)
@@ -124,7 +125,7 @@ def test_one_shard_matches_single_analyzer(seed):
 def test_one_shard_matches_typed_analyzer():
     rng = random.Random(9)
     single = TypedOnlineAnalyzer(SMALL)
-    sharded = ShardedAnalyzer(SMALL, shards=1)
+    sharded = BackendEngine(SMALL, shards=1)
     for transaction in random_transactions(4, count=1500):
         typed = [(extent, rng.choice([OpType.READ, OpType.WRITE]))
                  for extent in transaction]
@@ -135,18 +136,20 @@ def test_one_shard_matches_typed_analyzer():
     for kind in CorrelationKind:
         assert (single.frequent_pairs_of_kind(kind, 2)
                 == sharded.frequent_pairs_of_kind(kind, 2))
+    resident = single.pair_frequencies()
+    assert resident
+    for pair in resident:
+        assert sharded.type_tally(pair) == single.type_tally(pair)
 
 
-def test_single_engine_wrapper_is_pure_delegation():
-    engine = SingleAnalyzerEngine(SMALL, typed=False)
+def test_one_shard_engine_batch_matches_single_analyzer():
+    engine = BackendEngine(SMALL, shards=1)
     reference = OnlineAnalyzer(SMALL)
     transactions = random_transactions(5, count=800)
     assert engine.process_batch(transactions) == len(transactions)
     for transaction in transactions:
         reference.process(transaction)
     assert_tally_identical(engine, reference)
-    assert isinstance(engine, SynopsisEngine)
-    assert isinstance(ShardedAnalyzer(SMALL, shards=2), SynopsisEngine)
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +163,16 @@ def test_shard_config_splits_capacity():
     assert per_shard.correlation_capacity == 128
     assert per_shard.promote_threshold == config.promote_threshold
     with pytest.raises(ValueError):
-        ShardedAnalyzer(config, shards=0)
+        BackendEngine(config, shards=0)
 
 
 def test_sharded_partitions_are_disjoint_and_complete():
-    sharded = ShardedAnalyzer(SMALL, shards=4)
+    sharded = BackendEngine(SMALL, shards=4)
     for transaction in random_transactions(6, count=1000):
         sharded.process(transaction)
     merged = sharded.pair_frequencies()
     per_shard = [shard.pair_frequencies()
-                 for shard in sharded.shard_analyzers]
+                 for shard in sharded.shard_backends]
     assert sum(len(part) for part in per_shard) == len(merged)
     for index, part in enumerate(per_shard):
         for pair in part:
@@ -184,7 +187,7 @@ def test_four_shard_zipf_recall():
     capacity on the benchmark Zipf workload (the acceptance criterion)."""
     config = AnalyzerConfig(item_capacity=1024, correlation_capacity=1024)
     single = OnlineAnalyzer(config)
-    sharded = ShardedAnalyzer(config, shards=4)
+    sharded = BackendEngine(config, shards=4)
     for transaction in zipf_transactions():
         single.process(transaction)
         sharded.process(transaction)
@@ -198,8 +201,8 @@ def test_four_shard_zipf_recall():
 def test_process_batch_parallel_matches_sequential():
     """With no evictions in play, the thread-per-shard path is exact."""
     roomy = AnalyzerConfig(item_capacity=4096, correlation_capacity=4096)
-    sequential = ShardedAnalyzer(roomy, shards=4)
-    parallel = ShardedAnalyzer(roomy, shards=4)
+    sequential = BackendEngine(roomy, shards=4)
+    parallel = BackendEngine(roomy, shards=4)
     transactions = random_transactions(8, count=1500)
     assert sequential.process_batch(transactions) == len(transactions)
     assert parallel.process_batch(
@@ -211,7 +214,7 @@ def test_process_batch_parallel_matches_sequential():
 
 
 def test_sharded_reset():
-    sharded = ShardedAnalyzer(SMALL, shards=3)
+    sharded = BackendEngine(SMALL, shards=3)
     for transaction in random_transactions(10, count=200):
         sharded.process(transaction)
     assert sharded.pair_frequencies()
@@ -290,33 +293,43 @@ def test_sharded_service_snapshot_matches_single_on_hot_pairs():
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format v3
+# Checkpoint format v3 (read-only)
 # ---------------------------------------------------------------------------
 
 def _populated_sharded(shards=4, seed=20):
-    engine = ShardedAnalyzer(SMALL, shards=shards)
+    engine = BackendEngine(SMALL, shards=shards)
     for transaction in random_transactions(seed, count=1200):
         engine.process(transaction)
     return engine
 
 
+def _v3_bytes(engine) -> bytes:
+    """Frame a two-tier engine as format v3: ``RTSHD\\x03``, the shard
+    count, then one length-prefixed v2 envelope per shard."""
+    shards = engine.shard_backends
+    out = [b"RTSHD\x03", struct.pack("<I", len(shards))]
+    for shard in shards:
+        blob = dumps_analyzer(shard.analyzer)
+        out += [struct.pack("<I", len(blob)), blob]
+    return b"".join(out)
+
+
 def test_v3_round_trip_exact():
     engine = _populated_sharded()
-    buffer = io.BytesIO()
-    written = dump_engine(engine, buffer)
-    assert written == len(buffer.getvalue())
-    buffer.seek(0)
-    loaded = load_engine(buffer)
+    loaded = load_engine(io.BytesIO(_v3_bytes(engine)))
     restored = loaded.engine
     assert loaded.corrupt_shards == []
-    assert isinstance(restored, ShardedAnalyzer)
+    assert isinstance(restored, BackendEngine)
     assert restored.shards == engine.shards
+    assert restored.config == engine.config
     assert restored.pair_frequencies() == engine.pair_frequencies()
     # LRU order and tier membership must survive, shard for shard.
-    for original, revived in zip(engine.shard_analyzers,
-                                 restored.shard_analyzers):
-        assert original.items.items() == revived.items.items()
-        assert original.correlations.items() == revived.correlations.items()
+    for original, revived in zip(engine.shard_backends,
+                                 restored.shard_backends):
+        assert original.analyzer.items.items() == \
+            revived.analyzer.items.items()
+        assert original.analyzer.correlations.items() == \
+            revived.analyzer.correlations.items()
 
 
 def test_v3_dispatch_still_reads_v2():
@@ -342,29 +355,25 @@ def _corrupt_one_shard(blob: bytes) -> bytes:
 
 def test_v3_one_corrupt_shard_strict_raises():
     engine = _populated_sharded()
-    buffer = io.BytesIO()
-    dump_engine(engine, buffer)
-    corrupted = _corrupt_one_shard(buffer.getvalue())
+    corrupted = _corrupt_one_shard(_v3_bytes(engine))
     with pytest.raises(CheckpointCorruptError):
         load_engine(io.BytesIO(corrupted), strict=True)
 
 
 def test_v3_one_corrupt_shard_degrades_not_destroys():
     engine = _populated_sharded()
-    buffer = io.BytesIO()
-    dump_engine(engine, buffer)
-    corrupted = _corrupt_one_shard(buffer.getvalue())
+    corrupted = _corrupt_one_shard(_v3_bytes(engine))
     loaded = load_engine(io.BytesIO(corrupted), strict=False)
     assert loaded.corrupt_shards  # the damaged shard is reported ...
     restored = loaded.engine
-    assert isinstance(restored, ShardedAnalyzer)
+    assert isinstance(restored, BackendEngine)
     survivors = set(range(engine.shards)) - set(loaded.corrupt_shards)
     assert survivors  # ... and the others keep their learned state
     for index in survivors:
-        assert (restored.shard_analyzers[index].pair_frequencies()
-                == engine.shard_analyzers[index].pair_frequencies())
+        assert (restored.shard_backends[index].pair_frequencies()
+                == engine.shard_backends[index].pair_frequencies())
     for index in loaded.corrupt_shards:
-        assert not restored.shard_analyzers[index].pair_frequencies()
+        assert not restored.shard_backends[index].pair_frequencies()
 
 
 def test_resilient_service_degraded_shard_restore(tmp_path):
@@ -414,7 +423,7 @@ def test_pipeline_shards_and_batch_size():
     assert (baseline.frequent_pairs(3)
             == batched.frequent_pairs(3))
     sharded = run_pipeline(records, record_offline=False, shards=4)
-    assert isinstance(sharded.analyzer, ShardedAnalyzer)
+    assert isinstance(sharded.analyzer, BackendEngine)
     reference = {pair for pair, _ in baseline.frequent_pairs(3)}
     detected = {pair for pair, _ in sharded.frequent_pairs(3)}
     if reference:
@@ -433,7 +442,7 @@ def test_cli_shards_and_batch_flags(tmp_path, capsys):
     records, _truth = generate_named("rsrch", requests=1500, seed=5)
     trace = tmp_path / "trace.csv"
     save_msr_csv(records, trace)
-    synopsis = tmp_path / "synopsis.v3"
+    synopsis = tmp_path / "synopsis.v4"
     assert main([
         "characterize", str(trace), "--shards", "4",
         "--batch-size", "128", "--support", "3",
@@ -441,7 +450,7 @@ def test_cli_shards_and_batch_flags(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "saved synopsis" in out
-    assert synopsis.read_bytes().startswith(b"RTSHD\x03")
+    assert synopsis.read_bytes().startswith(b"RTBKD\x04")
     # And the sharded synopsis can be resumed from.
     assert main([
         "characterize", str(trace), "--load-synopsis", str(synopsis),

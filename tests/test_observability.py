@@ -27,11 +27,13 @@ import pytest
 from repro.core.config import AnalyzerConfig
 from repro.engine.procshard import ProcessShardedAnalyzer
 from repro.monitor.batch import TransactionBatch
+from repro.monitor.events import BlockIOEvent
 from repro.server.client import CharacterizationClient
 from repro.server.metrics import TENANT_OVERFLOW, ServerMetrics, \
     TenantLabelGuard
 from repro.server.server import CharacterizationServer, ServerThread
 from repro.server.supervisor import Supervisor, WarmStandby, WorkerConfig
+from repro.service import CharacterizationService
 from repro.telemetry import (
     JsonLogger,
     MetricsRegistry,
@@ -51,6 +53,7 @@ from repro.telemetry import (
     trace_span,
     use_context,
 )
+from repro.workloads.enterprise import generate_named
 
 from test_procshard import make_batches
 from test_server import hot_events, make_server
@@ -355,6 +358,39 @@ class TestWorkerMetricsAggregation:
             if sample["labels"].get("shard") is not None
         ]
         assert shard_samples == []
+
+
+class TestShardFlowCounters:
+    @pytest.mark.parametrize("processes", [False, True],
+                             ids=["in_process", "processes"])
+    def test_shard_counters_sum_to_engine_totals(self, processes):
+        """Each shard counts the extents and pairs it applies, so the
+        ``repro_analyzer_*_total{shard}`` series sum to the engine's
+        totals on the in-process and the process host alike."""
+        registry = MetricsRegistry()
+        service = CharacterizationService(
+            config=AnalyzerConfig(item_capacity=512,
+                                  correlation_capacity=512),
+            shards=2, shard_processes=processes, registry=registry)
+        records, _truth = generate_named("hm", requests=5000, seed=3)
+        try:
+            service.submit_many(
+                [BlockIOEvent.from_record(record) for record in records])
+            service.flush()
+            if processes:
+                assert service.analyzer.collect_worker_metrics() == 2
+            snap = snapshot(registry)
+            for flow in ("extents", "pairs"):
+                total = snapshot_value(snap, f"repro_engine_{flow}_total")
+                per_shard = [
+                    snapshot_value(snap, f"repro_analyzer_{flow}_total",
+                                   {"shard": str(index)})
+                    for index in range(2)
+                ]
+                assert total > 0 and all(per_shard), (flow, per_shard)
+                assert sum(per_shard) == total
+        finally:
+            service.release()
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ The contract under test (ISSUE 7):
 
 * the worker fleet produces *byte-identical* per-shard synopses to an
   in-process reference applying the same routed work (``route_batch`` +
-  ``_apply_shard_work`` + the cross-shard demote broadcast) -- the shard
-  semantics live in one module-level function shared by both sides;
-* merged queries (frequent pairs/extents, kinds, type tallies, report,
-  occupancy) equal merging the reference shards;
-* checkpoint v3 round-trips through the ``shard_analyzers`` seam, and
-  ``adopt_shards`` restores learned state into a live fleet;
+  the backend's ``apply_shard_work`` + the cross-shard demote broadcast)
+  -- the shard semantics live in one backend method shared by both sides;
+* merged queries (frequent pairs/extents, kinds, type tallies, partners,
+  report, occupancy) equal merging the reference shards;
+* checkpoint v4 round-trips through the ``shard_backends`` seam, and
+  ``adopt_backends`` restores learned state into a live fleet;
 * a SIGKILL'd worker surfaces as :class:`ShardWorkerError` (plus a
   telemetry death count) instead of hanging the caller, and ``close``
   still shuts the engine down afterwards.
@@ -25,17 +25,15 @@ import time
 import pytest
 
 from repro.core.config import AnalyzerConfig
-from repro.core.typed import TypedOnlineAnalyzer
-from repro.engine.checkpoint import as_typed_engine, dump_engine, load_engine
+from repro.engine import TwoTierBackend, shard_config
+from repro.engine.checkpoint import dump_engine, load_engine
 from repro.engine.procshard import (
     ProcessShardedAnalyzer,
     ShardWorkerError,
-    _apply_shard_work,
     route_batch,
 )
 from repro.monitor.batch import TransactionBatch
 from repro.monitor.events import BlockIOEvent
-from repro.engine.sharded import shard_config
 from repro.monitor.transaction import Transaction
 from repro.telemetry import NULL_REGISTRY
 from repro.trace.record import OpType
@@ -70,22 +68,21 @@ def make_batches(seed=3, count=1500, chunk=100):
 def reference_shards(batches, shards=SHARDS, config=CONFIG):
     """Apply the routed work in-process: the identity oracle."""
     per_shard = shard_config(config, shards)
-    analyzers = [TypedOnlineAnalyzer(per_shard, registry=NULL_REGISTRY)
-                 for _ in range(shards)]
+    backends = [TwoTierBackend(per_shard) for _ in range(shards)]
     for batch in batches:
         work = route_batch(batch, shards)
         evicted_by = [
-            _apply_shard_work(analyzers[i], *item_work, *pair_work)
+            backends[i].apply_shard_work(*item_work, *pair_work)
             for i, (item_work, pair_work) in enumerate(work)
         ]
         for origin, evicted in enumerate(evicted_by):
             for start, length in evicted:
                 for i in range(shards):
                     if i != origin:
-                        analyzers[i].correlations.demote_involving(
-                            analyzers[i]._interner.extent(start, length)
+                        backends[i].demote_item(
+                            backends[i]._interner.extent(start, length)
                         )
-    return analyzers
+    return [backend.analyzer for backend in backends]
 
 
 def merged_pairs(analyzers, min_support=1):
@@ -122,7 +119,7 @@ def engine(batches):
 
 
 def test_workers_match_in_process_reference(engine, reference):
-    shards = engine.shard_analyzers
+    shards = [backend.analyzer for backend in engine.shard_backends]
     for i in range(SHARDS):
         assert shards[i].items.stats.as_dict() == \
             reference[i].items.stats.as_dict()
@@ -143,6 +140,12 @@ def test_merged_queries(engine, reference, batches):
     ]
     top = expected[0][0]
     assert engine.type_tally(top) is not None
+    partners = {}
+    for analyzer in reference:
+        for partner, count in analyzer.correlated_with(top.first, 4):
+            partners[partner] = max(count, partners.get(partner, 0))
+    assert engine.correlated_with(top.first, 4) == sorted(
+        partners.items(), key=lambda entry: (-entry[1], entry[0]))[:4]
     assert engine.pair_frequencies() == {
         pair: count
         for analyzer in reference
@@ -150,21 +153,23 @@ def test_merged_queries(engine, reference, batches):
     }
 
 
-def test_checkpoint_v3_round_trip(engine, reference):
+def test_checkpoint_v4_round_trip(engine, reference):
     buffer = io.BytesIO()
     dump_engine(engine, buffer)
+    assert buffer.getvalue().startswith(b"RTBKD\x04")
     buffer.seek(0)
-    loaded = as_typed_engine(load_engine(buffer))
+    loaded = load_engine(buffer).engine
     assert loaded.frequent_pairs(1) == merged_pairs(reference)
+    assert loaded.kind_summary() == engine.kind_summary()
 
 
 def test_adopt_shards_restores_fleet(engine, reference):
     adopted = ProcessShardedAnalyzer(CONFIG, shards=SHARDS,
                                      registry=NULL_REGISTRY)
     try:
-        adopted.adopt_shards(engine.shard_analyzers)
+        adopted.adopt_backends(engine.shard_backends)
         assert adopted.frequent_pairs(1) == merged_pairs(reference)
-        restored = adopted.shard_analyzers
+        restored = [backend.analyzer for backend in adopted.shard_backends]
         for i in range(SHARDS):
             assert types_of(restored[i]) == types_of(reference[i])
     finally:

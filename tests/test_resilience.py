@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-import repro.core.serialize as serialize_module
+import repro.engine.checkpoint as checkpoint_module
 from repro.core.config import AnalyzerConfig
 from repro.core.serialize import (
     CheckpointCorruptError,
@@ -374,7 +374,7 @@ class TestAtomicCheckpoint:
             stream.write(b"RTSYN\x02partial")
             raise OSError("disk full")
 
-        monkeypatch.setattr(serialize_module, "dump_analyzer",
+        monkeypatch.setattr(checkpoint_module, "dump_analyzer",
                             exploding_dump)
         crashing = ResilientCharacterizationService(
             max_io_retries=1, backoff_base=1e-6, sleep=lambda _s: None,
@@ -393,7 +393,7 @@ class TestAtomicCheckpoint:
     def test_transient_failure_retried(self, tmp_path, monkeypatch):
         service = trained_service()
         path = tmp_path / "synopsis.ckpt"
-        real_save = serialize_module.save_checkpoint
+        real_save = checkpoint_module.save_engine_checkpoint
         attempts = {"n": 0}
 
         def flaky_save(analyzer, target):
@@ -403,7 +403,8 @@ class TestAtomicCheckpoint:
             return real_save(analyzer, target)
 
         import repro.resilience.service as resilient_module
-        monkeypatch.setattr(resilient_module, "save_checkpoint", flaky_save)
+        monkeypatch.setattr(resilient_module, "save_engine_checkpoint",
+                            flaky_save)
         written = service.checkpoint_to(path)
         assert written > 0
         assert attempts["n"] == 3
@@ -615,6 +616,52 @@ class TestWindowGuards:
 
 
 # ---------------------------------------------------------------------------
+# Restores keep the engine's shape
+# ---------------------------------------------------------------------------
+
+class TestRestoreKeepsEngineShape:
+    def test_restore_from_adopts_into_fleet_and_fallback_resets_it(
+            self, tmp_path):
+        """``restore_from`` on a process-sharded service adopts into the
+        live worker fleet (same engine, same worker PIDs) instead of
+        swapping in an in-process engine, and a corrupt checkpoint resets
+        that same engine, so backend and shard count survive the
+        fallback."""
+        config = AnalyzerConfig(item_capacity=4096,
+                                correlation_capacity=4096, backend="cms")
+        service = ResilientCharacterizationService(
+            shards=2, shard_processes=True, sleep=lambda _s: None,
+            **dict(service_kwargs(), config=config),
+        )
+        path = tmp_path / "procs.ckpt"
+        try:
+            service.submit_many(workload_events(requests=3000))
+            service.checkpoint_to(path)
+            expected = frequent_set(service)
+            assert expected
+            engine = service.analyzer
+            pids = [proc.pid for proc in engine._procs]
+            engine.reset()
+
+            assert service.restore_from(path) is True
+            assert service.analyzer is engine
+            assert [proc.pid for proc in engine._procs] == pids
+            assert all(engine.workers_alive())
+            assert frequent_set(service) == expected
+            assert service.health().ok
+
+            path.write_bytes(b"\x00" + path.read_bytes()[1:])
+            assert service.restore_from(path) is False
+            assert service.analyzer is engine
+            assert engine.backend_name == "cms"
+            assert service.shards == engine.shards == 2
+            assert frequent_set(service) == set()
+            assert service.health().status == "degraded"
+        finally:
+            service.release()
+
+
+# ---------------------------------------------------------------------------
 # Crash injection: the pre-rename window
 # ---------------------------------------------------------------------------
 
@@ -667,11 +714,9 @@ class TestCrashBeforeRename:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_checkpoint_to_handles_process_sharded_engine(self, tmp_path):
-        """``checkpoint_to`` used to dispatch on the ``ShardedAnalyzer``
-        base class and fall through to the single-analyzer v2 writer for
-        a process-backed engine (which has no ``.items``); dispatch now
-        rides the ``shard_analyzers`` seam, so both sharded shapes take
-        the v3 path."""
+        """``checkpoint_to`` must take the sharded (v4) writer for a
+        process-backed engine, which has no ``.items`` for the
+        single-analyzer v2 writer."""
         from repro.engine.checkpoint import load_engine_checkpoint
         service = ResilientCharacterizationService(
             shards=2, shard_processes=True, **service_kwargs()

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.analyzer import OnlineAnalyzer
 from repro.core.config import AnalyzerConfig
-from repro.engine.sharded import ShardedAnalyzer
+from repro.engine import BackendEngine
 from repro.monitor.events import BlockIOEvent
 from repro.monitor.monitor import Monitor
 from repro.monitor.window import StaticWindow
@@ -513,7 +513,7 @@ class TestComponentIntegration:
 
     def test_sharded_engine_publishes_per_shard_series(self):
         registry = MetricsRegistry()
-        engine = ShardedAnalyzer(
+        engine = BackendEngine(
             AnalyzerConfig(item_capacity=64, correlation_capacity=64),
             shards=2, registry=registry,
         )
@@ -526,7 +526,7 @@ class TestComponentIntegration:
                            {"table": "items", "shard": str(index)})
             for index in range(2)
         ]
-        shards = engine.shard_analyzers
+        shards = [backend.analyzer for backend in engine.shard_backends]
         assert sum(per_shard) == \
             len(shards[0].items) + len(shards[1].items)
         assert snapshot_value(
