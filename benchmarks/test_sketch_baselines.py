@@ -17,7 +17,7 @@ from repro.analysis.accuracy import detection_metrics
 from repro.core.analyzer import OnlineAnalyzer
 from repro.core.config import AnalyzerConfig
 from repro.core.extent import Extent, ExtentPair, unique_pairs
-from repro.fim.sketch import SpaceSaving
+from repro.core.sketches import SpaceSaving
 
 from conftest import print_header, print_row, scaled
 

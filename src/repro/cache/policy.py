@@ -5,8 +5,7 @@ hit/miss/prefetch accounting and delegates *which block to evict* to an
 :class:`EvictionPolicy`.  Three policies ship:
 
 * ``lru`` -- classic least-recently-used, the baseline every cache paper
-  measures against (and the semantics of the legacy
-  ``repro.optimize.prefetch.BlockCache``);
+  measures against;
 * ``arc`` -- the real Adaptive Replacement Cache, reusing
   :class:`repro.core.arc.ArcTable` (Megiddo & Modha) so the synopsis
   benchmark's ARC implementation doubles as a cache policy;
@@ -25,15 +24,8 @@ double-count (see :mod:`repro.cache.stats`).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, List, Union
-
-try:
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - Python < 3.8 fallback
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
+from typing import (Callable, Dict, Hashable, List, Protocol, Union,
+                    runtime_checkable)
 
 from ..core.arc import ArcTable
 

@@ -17,9 +17,8 @@ of the online/offline spectrum:
   ``prefetch_accuracy`` drops below a watermark the effective budget
   backs off multiplicatively, and recovers once accuracy does.
 * :class:`CorrelationPrefetcher` -- a **frozen** table of partners built
-  once from an analyzer's frequent pairs (the legacy
-  ``repro.optimize.prefetch`` behavior, kept for comparison: it cannot
-  adapt to drift).
+  once from an analyzer's frequent pairs, kept for comparison: it cannot
+  adapt to drift.
 * :class:`RulePrefetcher` -- directional ``A -> B`` association rules
   only (no reverse prefetch below confidence).
 
@@ -28,18 +27,10 @@ The MITHRIL-style offline baseline lives in :mod:`repro.cache.miner`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Protocol, Tuple, runtime_checkable
 
 from ..core.analyzer import OnlineAnalyzer
 from ..core.extent import Extent
-
-try:
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - Python < 3.8 fallback
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 
 @runtime_checkable

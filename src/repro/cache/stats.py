@@ -2,8 +2,7 @@
 
 This is the statistics surface of the cache subsystem (paper Section I /
 Section V: "caching & prefetching" is the first optimization the framework
-is built to enable).  It supersedes the dataclass that used to live in
-``repro.optimize.prefetch`` with tightened prefetch-attribution semantics:
+is built to enable), with exact prefetch attribution:
 
 * ``prefetches_issued`` counts *blocks* speculatively loaded;
 * ``prefetch_hits`` counts blocks whose **first demand access after the

@@ -227,19 +227,22 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             promote_threshold=args.promote_threshold,
             backend=args.backend,
         )
-    result = run_pipeline(
-        records,
-        config=config,
-        analyzer=analyzer,
-        window=_window_from(args),
-        max_transaction_size=args.max_transaction,
-        dedup=not args.no_dedup,
-        record_offline=False,
-        shards=args.shards,
-        batch_size=args.batch_size,
-        parallel=args.parallel,
-        registry=registry,
-    )
+    try:
+        result = run_pipeline(
+            records,
+            config=config,
+            analyzer=analyzer,
+            window=_window_from(args),
+            max_transaction_size=args.max_transaction,
+            dedup=not args.no_dedup,
+            record_offline=False,
+            shards=args.shards,
+            batch_size=args.batch_size,
+            shard_processes=args.shard_processes,
+            registry=registry,
+        )
+    except ValueError as exc:  # flags the run cannot honour
+        raise SystemExit(f"characterize: {exc}") from exc
     if args.save_synopsis:
         with open(args.save_synopsis, "wb") as stream:
             written = dump_engine(result.analyzer, stream)
@@ -700,13 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="hash-partition the synopsis across N "
                                    "shard table pairs at capacity/N each "
                                    "(default 1: single analyzer)")
-    characterize.add_argument("--parallel", choices=["thread", "process"],
-                              default=None,
-                              help="process shard batches with one worker "
-                                   "thread per shard, or back the run with "
-                                   "one worker process per shard "
-                                   "(GIL-free; pair with --shards/"
-                                   "--batch-size)")
+    characterize.add_argument("--shard-processes", action="store_true",
+                              help="back the shards with one worker "
+                                   "process each (GIL-free; pair with "
+                                   "--shards/--batch-size)")
     characterize.add_argument("--batch-size", type=int, default=None,
                               help="feed events to the monitor in batches "
                                    "of this size (default: per-event)")

@@ -192,8 +192,20 @@ class OnlineAnalyzer:
         for extents in transactions:
             self.process(extents)
 
-    def process_transaction_batch(self, batch, *,
-                                  parallel: bool = False) -> int:
+    def process_transaction(self, transaction) -> None:
+        """Process a monitor :class:`~repro.monitor.Transaction`; this
+        untyped analyzer ignores the operations."""
+        self.process(transaction.extents)
+
+    def process_batch(self, transactions: Iterable) -> int:
+        """Process monitor transactions in order; returns the count."""
+        count = 0
+        for transaction in transactions:
+            self.process(transaction.extents)
+            count += 1
+        return count
+
+    def process_transaction_batch(self, batch) -> int:
         """Process a columnar :class:`~repro.monitor.batch.TransactionBatch`.
 
         The batch's distinct view is already deduplicated and sorted per
@@ -204,8 +216,6 @@ class OnlineAnalyzer:
         materialization: extents are interned straight from the integer
         columns, and the allocation-light ``access_fast`` table operation
         replaces :class:`~repro.core.two_tier.AccessResult` construction.
-        ``parallel`` is accepted for engine-protocol compatibility and
-        ignored.
         """
         starts = batch.starts.tolist()
         lengths = batch.lengths.tolist()

@@ -1,13 +1,12 @@
 """Shared streaming-sketch primitives.
 
-Space-Saving and Count-Min started life as FIM baselines in
-:mod:`repro.fim.sketch`; the synopsis backends
-(:mod:`repro.engine.backends`) reuse the exact same structures as
-building blocks -- Space-Saving is the Misra-Gries summary at both levels
-of the CHH backend (the lazy min-heap *is* the Epicoco/Cafaro/Pulimeno
-fast-variant update path), and Count-Min with a candidate heap is the
-pair-sketch backend.  They therefore live here, in :mod:`repro.core`,
-below both consumers; :mod:`repro.fim.sketch` re-exports them unchanged.
+Space-Saving and Count-Min are the FIM baselines of :mod:`repro.fim`;
+the synopsis backends (:mod:`repro.engine.backends`) reuse the exact
+same structures as building blocks -- Space-Saving is the Misra-Gries
+summary at both levels of the CHH backend (the lazy min-heap *is* the
+Epicoco/Cafaro/Pulimeno fast-variant update path), and Count-Min with a
+candidate heap is the pair-sketch backend.  They therefore live here,
+in :mod:`repro.core`, below both consumers.
 
 * **Space-Saving** (Metwally, Agrawal & El Abbadi, 2005) -- maintains
   exactly ``capacity`` counters; a new item takes over the minimum counter

@@ -132,16 +132,13 @@ class TypedOnlineAnalyzer(OnlineAnalyzer):
             (event.extent, event.op) for event in transaction.events
         ])
 
-    def process_batch(self, transactions: Iterable, *,
-                      parallel: bool = False) -> int:
+    def process_batch(self, transactions: Iterable) -> int:
         """Process monitor transactions as one batch; returns the count.
 
         Exactly equivalent to calling :meth:`process_transaction` once per
         transaction -- same table operations in the same order -- but with
         the per-call attribute lookups, counter updates, and per-pair tally
-        allocations hoisted out of the loop.  ``parallel`` is accepted for
-        engine-protocol compatibility and ignored (a single analyzer has
-        nothing to fan out over).
+        allocations hoisted out of the loop.
         """
         items_access = self.items.access
         corr_access = self.correlations.access
@@ -184,8 +181,7 @@ class TypedOnlineAnalyzer(OnlineAnalyzer):
         self._pairs_seen += pairs_seen
         return count
 
-    def process_transaction_batch(self, batch, *,
-                                  parallel: bool = False) -> int:
+    def process_transaction_batch(self, batch) -> int:
         """Columnar :meth:`process_batch`: same tables, same order, no
         per-event objects.
 
@@ -194,8 +190,7 @@ class TypedOnlineAnalyzer(OnlineAnalyzer):
         analyzer's iteration order, so the synopsis and the typed sidecar
         end up identical to processing the materialized transactions.
         The pair kind falls out of the op-code sum (read=0, write=1):
-        0 is read/read, 2 write/write, 1 mixed.  ``parallel`` is accepted
-        for engine-protocol compatibility and ignored.
+        0 is read/read, 2 write/write, 1 mixed.
         """
         starts = batch.starts.tolist()
         lengths = batch.lengths.tolist()

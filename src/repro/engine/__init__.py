@@ -8,8 +8,7 @@ Three engine shapes answer the same ingest and query surface, and
   checkpointed as format v2;
 * :class:`BackendEngine` hosts 1..N shards of any pluggable synopsis
   backend (:mod:`repro.engine.backends`: two-tier tables, Correlated
-  Heavy Hitters, count-min pair sketches) in-process, with serial or
-  thread-per-shard execution;
+  Heavy Hitters, count-min pair sketches) in-process;
 * :class:`ProcessShardedAnalyzer` hosts one backend per worker process.
 
 Both sharded hosts checkpoint as format v4 (backend-tagged per-shard CRC

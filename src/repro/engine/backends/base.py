@@ -12,9 +12,9 @@ plug-in:
 * **ingest** -- ``process`` / ``process_transaction`` /
   ``process_transaction_batch`` for standalone use, plus the two
   primitive updates (``update_item`` / ``update_pair``, the latter with
-  the pair's R/W mix) a host calls after routing, ``apply_routed`` for a
-  thread-per-shard batch, and ``apply_shard_work`` consuming the
-  procshard engine's pre-routed columnar arrays;
+  the pair's R/W mix) a host calls after routing, and
+  ``apply_shard_work`` consuming the procshard engine's pre-routed
+  columnar arrays;
 * **queries** -- ranked ``top_pairs`` / ``correlated_with`` plus the
   classic ``frequent_pairs`` / ``frequent_extents`` /
   ``pair_frequencies`` surface the service layers already consume;
@@ -37,17 +37,11 @@ from typing import (
     Dict,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
+    runtime_checkable,
 )
-
-try:  # Protocol is 3.8+; runtime_checkable keeps isinstance() working.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - Python < 3.8 fallback
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 from ...core.analyzer import AnalyzerReport
 from ...core.config import AnalyzerConfig
@@ -61,11 +55,10 @@ class SynopsisBackend(Protocol):
     """What a hosting engine requires of a synopsis representation."""
 
     def process_transaction(self, transaction) -> None:
-        """Characterize one transaction (monitor object or extent list)."""
+        """Characterize one monitor transaction."""
         ...
 
-    def process_transaction_batch(self, batch, *,
-                                  parallel: bool = False) -> int:
+    def process_transaction_batch(self, batch) -> int:
         """Characterize one columnar batch; returns transactions seen."""
         ...
 
@@ -156,14 +149,10 @@ class BackendBase:
             self.update_pair(pair)
 
     def process_transaction(self, transaction) -> None:
-        events = getattr(transaction, "events", None)
-        if events is not None:
-            self.process([event.extent for event in events])
-        else:
-            self.process(transaction)
+        """Characterize one monitor transaction (untyped)."""
+        self.process(transaction.extents)
 
-    def process_transaction_batch(self, batch, *,
-                                  parallel: bool = False) -> int:
+    def process_transaction_batch(self, batch) -> int:
         """Characterize a columnar :class:`TransactionBatch` (rows are
         already deduplicated per transaction by the monitor)."""
         starts = batch.starts.tolist()
@@ -190,25 +179,6 @@ class BackendBase:
         self._transactions += count
         return count
 
-    def apply_routed(self, extents: Sequence[Extent],
-                     pairs: Sequence[Tuple[ExtentPair, Optional[int]]]
-                     ) -> List[Extent]:
-        """Apply one shard's pre-routed work -- items first (with local
-        eviction demotion), then ``(pair, mix)`` rows -- and return the
-        evicted extents the other shards must demote."""
-        update_item = self.update_item
-        update_pair = self.update_pair
-        evicted_out: List[Extent] = []
-        for extent in extents:
-            evicted = update_item(extent)
-            if evicted is not None:
-                evicted_out.append(evicted)
-        for pair, mix in pairs:
-            update_pair(pair, mix)
-        self._extents_seen += len(extents)
-        self._pairs_seen += len(pairs)
-        return evicted_out
-
     def apply_shard_work(
         self,
         item_starts,
@@ -220,20 +190,26 @@ class BackendBase:
         mixes,
     ) -> List[Tuple[int, int]]:
         """Apply one shard's pre-routed columnar work (the procshard wire
-        format).  Returns item evictions as ``(start, length)`` rows for
-        cross-shard demotion -- always empty for sketch backends."""
+        format): items first, then pairs with their R/W mix.  Returns
+        item evictions as ``(start, length)`` rows for cross-shard
+        demotion -- always empty for sketch backends."""
         intern_extent = self._interner.extent
         intern_pair = self._interner.pair
-        evicted = self.apply_routed(
-            [intern_extent(start, length) for start, length in
-             zip(item_starts.tolist(), item_lengths.tolist())],
-            [(intern_pair(intern_extent(a_start, a_length),
-                          intern_extent(b_start, b_length)), mix)
-             for a_start, a_length, b_start, b_length, mix in zip(
-                 a_starts.tolist(), a_lengths.tolist(),
-                 b_starts.tolist(), b_lengths.tolist(), mixes.tolist())],
-        )
-        return [(extent.start, extent.length) for extent in evicted]
+        update_item = self.update_item
+        update_pair = self.update_pair
+        evicted_out: List[Tuple[int, int]] = []
+        for start, length in zip(item_starts.tolist(), item_lengths.tolist()):
+            evicted = update_item(intern_extent(start, length))
+            if evicted is not None:
+                evicted_out.append((evicted.start, evicted.length))
+        pair_rows = zip(a_starts.tolist(), a_lengths.tolist(),
+                        b_starts.tolist(), b_lengths.tolist(), mixes.tolist())
+        for a_start, a_length, b_start, b_length, mix in pair_rows:
+            update_pair(intern_pair(intern_extent(a_start, a_length),
+                                    intern_extent(b_start, b_length)), mix)
+        self._extents_seen += len(item_starts)
+        self._pairs_seen += len(a_starts)
+        return evicted_out
 
     # -- queries -----------------------------------------------------------
 

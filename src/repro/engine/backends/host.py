@@ -27,12 +27,9 @@ consistently and survive.
 Queries merge across shards; since shards partition the key space, their
 result sets are disjoint and merging is a ranked union.
 
-Batched ingest can run thread-per-shard (``parallel=True``): the batch is
-pre-routed, shards share no state during the batch, and cross-shard
-demotions are deferred to the join -- tallies are unaffected, only
-intra-batch LRU positions differ.  The process-backed equivalent is
-:class:`~repro.engine.procshard.ProcessShardedAnalyzer`, one backend per
-worker process.
+Shards run serially in the caller's thread.  The process-backed
+equivalent is :class:`~repro.engine.procshard.ProcessShardedAnalyzer`,
+one backend per worker process.
 
 Telemetry: the engine publishes the engine flow counters, per-shard
 occupancy and imbalance gauges, and per-backend gauges
@@ -43,7 +40,6 @@ under a ``shard="<i>"`` label.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace as dataclasses_replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -282,12 +278,9 @@ class BackendEngine:
         self._process(sorted(code_of), code_of)
 
     def process_transaction(self, transaction) -> None:
-        """Characterize one monitor transaction (typed) or extent list."""
-        events = getattr(transaction, "events", None)
-        if events is not None:
-            self.process_typed([(event.extent, event.op) for event in events])
-        else:
-            self.process(transaction)
+        """Characterize one monitor transaction (typed)."""
+        self.process_typed([(event.extent, event.op)
+                            for event in transaction.events])
 
     def process_stream(self, transactions: Iterable[Sequence[Extent]]) -> None:
         for extents in transactions:
@@ -316,30 +309,22 @@ class BackendEngine:
                 code_of[pair.first] + code_of[pair.second])
             backends[hash(pair) % n].update_pair(pair, mix)
 
-    def process_batch(self, transactions: Iterable, *,
-                      parallel: bool = False) -> int:
-        """Characterize a batch of monitor transactions (typed) or extent
-        lists; ``parallel=True`` pre-routes and runs thread-per-shard."""
-        if parallel and self.shards > 1:
-            return self._run_routed(*self._route_objects(transactions))
+    def process_batch(self, transactions: Iterable) -> int:
+        """Characterize a batch of monitor transactions; returns the count."""
         count = 0
         for transaction in transactions:
             self.process_transaction(transaction)
             count += 1
         return count
 
-    def process_transaction_batch(self, batch, *,
-                                  parallel: bool = False) -> int:
+    def process_transaction_batch(self, batch) -> int:
         """Characterize a columnar :class:`~repro.monitor.batch.\
 TransactionBatch`.
 
-        The sequential path routes each distinct extent and pair exactly
-        like :meth:`process_typed`, so it is tally- and stats-identical to
-        the object path; ``parallel=True`` pre-routes and runs
-        thread-per-shard with demotions deferred to the join.
+        Each distinct extent and pair is routed exactly like
+        :meth:`process_typed`, so the result is tally- and stats-identical
+        to the object path.
         """
-        if parallel and self.shards > 1:
-            return self._run_routed(*self._route_columns(batch))
         starts = batch.starts.tolist()
         lengths = batch.lengths.tolist()
         ops = batch.ops.tolist()
@@ -379,95 +364,6 @@ TransactionBatch`.
         self._transactions += count
         self._extents_seen += extents_seen
         self._pairs_seen += pairs_seen
-        return count
-
-    # -- thread-per-shard batches --------------------------------------------
-
-    def _route_objects(self, transactions: Iterable):
-        """Pre-route object transactions into per-shard work lists."""
-        n = self.shards
-        item_work: List[List[Extent]] = [[] for _ in range(n)]
-        pair_work: List[List[Tuple[ExtentPair, Optional[int]]]] = [
-            [] for _ in range(n)
-        ]
-        count = 0
-        for transaction in transactions:
-            count += 1
-            events = getattr(transaction, "events", None)
-            if events is not None:
-                code_of: Optional[Dict[Extent, int]] = {}
-                for event in events:
-                    code_of.setdefault(event.extent, _OP_TO_CODE[event.op])
-                distinct = sorted(code_of)
-            else:
-                code_of = None
-                distinct = sorted(set(transaction))
-            self._extents_seen += len(distinct)
-            for extent in distinct:
-                item_work[hash(extent) % n].append(extent)
-            pairs = unique_pairs(distinct)
-            self._pairs_seen += len(pairs)
-            for pair in pairs:
-                mix = None if code_of is None else (
-                    code_of[pair.first] + code_of[pair.second])
-                pair_work[hash(pair) % n].append((pair, mix))
-        self._transactions += count
-        return item_work, pair_work, count
-
-    def _route_columns(self, batch):
-        """Pre-route a columnar batch into per-shard work lists."""
-        starts = batch.starts.tolist()
-        lengths = batch.lengths.tolist()
-        ops = batch.ops.tolist()
-        offsets = batch.offsets.tolist()
-        n = self.shards
-        intern_extent = self._interner.extent
-        intern_pair = self._interner.pair
-        item_work: List[List[Extent]] = [[] for _ in range(n)]
-        pair_work: List[List[Tuple[ExtentPair, int]]] = [[] for _ in range(n)]
-        count = len(offsets) - 1
-        extents_seen = 0
-        pairs_seen = 0
-        for t in range(count):
-            lo = offsets[t]
-            hi = offsets[t + 1]
-            extents = [intern_extent(starts[k], lengths[k])
-                       for k in range(lo, hi)]
-            m = hi - lo
-            extents_seen += m
-            for extent in extents:
-                item_work[hash(extent) % n].append(extent)
-            if m > 1:
-                pairs_seen += m * (m - 1) // 2
-                for i in range(m - 1):
-                    a = extents[i]
-                    op_a = ops[lo + i]
-                    for j in range(i + 1, m):
-                        pair = intern_pair(a, extents[j])
-                        pair_work[hash(pair) % n].append(
-                            (pair, op_a + ops[lo + j])
-                        )
-        self._transactions += count
-        self._extents_seen += extents_seen
-        self._pairs_seen += pairs_seen
-        return item_work, pair_work, count
-
-    def _run_routed(self, item_work, pair_work, count: int) -> int:
-        """Apply pre-routed work with one thread per shard, then broadcast
-        each shard's item evictions to the other shards."""
-        backends = self._backends
-        n = self.shards
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            evicted_by_shard = list(pool.map(
-                lambda index: backends[index].apply_routed(
-                    item_work[index], pair_work[index]),
-                range(n),
-            ))
-        for origin, evicted in enumerate(evicted_by_shard):
-            for key in evicted:
-                for index in range(n):
-                    if index != origin:
-                        backends[index].demote_item(key)
         return count
 
     # -- merged queries ------------------------------------------------------

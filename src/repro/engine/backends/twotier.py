@@ -4,8 +4,8 @@ This is the exact synopsis of Sections III-D/IV-C -- a
 :class:`~repro.core.typed.TypedOnlineAnalyzer` with its item and
 correlation LRU table pairs, the eviction-demotion coupling and the R/W
 type sidecar -- presented through the :class:`~.base.SynopsisBackend`
-surface, so the hosting engines (in-process, thread and process shards)
-and the Pareto benchmark run it interchangeably with the sketch backends.
+surface, so the hosting engines (in-process and process shards) and the
+Pareto benchmark run it interchangeably with the sketch backends.
 It is the accuracy ceiling of the trio (explicit pairs, recency-aware)
 and the memory floor nothing sublinear can match: ``88 C`` bytes at
 capacity ``C`` versus the sketches' fractions of that.
@@ -118,46 +118,6 @@ class TwoTierBackend(BackendBase):
     def demote_item(self, extent: Extent) -> None:
         self.analyzer.correlations.demote_involving(extent)
 
-    def apply_routed(self, extents: Sequence[Extent],
-                     pairs: Sequence[Tuple[ExtentPair, Optional[int]]]
-                     ) -> List[Extent]:
-        """The thread-per-shard task: :meth:`update_item` /
-        :meth:`update_pair` semantics with the lookups hoisted out of the
-        loop."""
-        analyzer = self.analyzer
-        items_access = analyzer.items.access_fast
-        corr_access = analyzer.correlations.access_fast
-        demote = analyzer.config.demote_on_item_eviction
-        demote_involving = analyzer.correlations.demote_involving
-        types = analyzer._types
-        types_get = types.get
-        types_pop = types.pop
-        evicted_out: List[Extent] = []
-        for extent in extents:
-            evicted = items_access(extent)
-            if demote and evicted is not None:
-                # Local demotion now; the host demotes the other shards.
-                demote_involving(evicted)
-                evicted_out.append(evicted)
-        for pair, mix in pairs:
-            evicted_pair = corr_access(pair)
-            if evicted_pair is not None:
-                types_pop(evicted_pair, None)
-            if mix is None:
-                continue
-            tally = types_get(pair)
-            if tally is None:
-                types[pair] = tally = TypeTally()
-            if mix == 0:
-                tally.read += 1
-            elif mix == 2:
-                tally.write += 1
-            else:
-                tally.mixed += 1
-        analyzer._extents_seen += len(extents)
-        analyzer._pairs_seen += len(pairs)
-        return evicted_out
-
     def apply_shard_work(
         self,
         item_starts,
@@ -217,14 +177,9 @@ class TwoTierBackend(BackendBase):
         self.analyzer.process(extents)
 
     def process_transaction(self, transaction) -> None:
-        events = getattr(transaction, "events", None)
-        if events is not None:
-            self.analyzer.process_transaction(transaction)
-        else:
-            self.analyzer.process(transaction)
+        self.analyzer.process_transaction(transaction)
 
-    def process_transaction_batch(self, batch, *,
-                                  parallel: bool = False) -> int:
+    def process_transaction_batch(self, batch) -> int:
         return self.analyzer.process_transaction_batch(batch)
 
     # -- queries -----------------------------------------------------------

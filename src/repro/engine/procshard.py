@@ -1,11 +1,11 @@
 """Shard-per-process execution: the GIL-free synopsis engine.
 
-:class:`~repro.engine.backends.host.BackendEngine`'s thread-parallel batch
-path cannot speed up the pure-Python table loops -- the GIL serializes
-them.  This module runs each shard in its **own process**: a spawned
-worker owns one synopsis backend (:mod:`repro.engine.backends`; the
-two-tier tables by default) and applies pre-routed columnar work shipped
-to it as pickled numpy arrays, so N shards use N cores.
+Threads cannot speed up the pure-Python table loops -- the GIL
+serializes them -- so this module runs each shard in its **own
+process**: a spawned worker owns one synopsis backend
+(:mod:`repro.engine.backends`; the two-tier tables by default) and
+applies pre-routed columnar work shipped to it as pickled numpy arrays,
+so N shards use N cores.
 
 Routing.  The in-process engine routes with Python's ``hash() % N``; a
 process engine cannot, because worker-side structures must agree with
@@ -25,8 +25,7 @@ Protocol.  Batches run in lockstep over duplex pipes: the main process
 ships each worker its routed slice, waits for every worker's ack (which
 carries the extents evicted from that worker's item table), then
 broadcasts cross-shard demotions fire-and-forget -- pipe FIFO ordering
-guarantees a worker applies them before its next batch, mirroring the
-thread engine's demote-after-join batch semantics.  A worker that dies
+guarantees a worker applies them before its next batch.  A worker that dies
 mid-batch is detected by liveness polling and surfaces as
 :class:`ShardWorkerError` (counted in
 ``repro_engine_worker_deaths_total``) instead of a hang.
@@ -52,6 +51,7 @@ from ..core.analyzer import AnalyzerReport
 from ..core.config import AnalyzerConfig
 from ..core.extent import Extent, ExtentPair
 from ..core.typed import CorrelationKind, TypeTally
+from ..monitor.batch import TransactionBatch
 from ..telemetry.aggregate import merge_worker_snapshot
 from ..telemetry.metrics import MetricsRegistry, get_default_registry
 from ..telemetry.tracelog import current_context, get_tracelog
@@ -266,15 +266,14 @@ def _shard_worker_main(conn, config: AnalyzerConfig, index: int = 0,
 class ProcessShardedAnalyzer:
     """N shard synopses in N worker processes, engine interface on top.
 
-    Drop-in for :class:`~repro.engine.backends.host.BackendEngine` on the
-    columnar lane: ``process_transaction_batch`` ingest, merged
-    ``frequent_*`` / typed / partner queries, ``report()``, ``reset()``,
-    and the ``shard_backends`` / ``adopt_backends`` state seam that
-    checkpoint format v4 and restores use.  The
-    object path (``process_transaction`` etc.) is intentionally absent --
-    per-event shipping would pay a pickle per event; batch through a
-    monitor or :meth:`~repro.monitor.batch.TransactionBatch.\
-from_transactions` instead.
+    Drop-in for :class:`~repro.engine.backends.host.BackendEngine`: the
+    same ingest calls, merged ``frequent_*`` / typed / partner queries,
+    ``report()``, ``reset()``, and the ``shard_backends`` /
+    ``adopt_backends`` state seam that checkpoint format v4 and restores
+    use.  Every ingest call is one columnar round over the fleet, so
+    object transactions are converted once per call
+    (:meth:`~repro.monitor.batch.TransactionBatch.from_transactions`);
+    feed batches, not single transactions, where throughput matters.
 
     Note the routing difference from the in-process engine (module
     docstring): the two engines agree on analysis semantics but not on
@@ -482,13 +481,18 @@ from_transactions` instead.
 
     # -- ingestion ----------------------------------------------------------
 
-    def process_transaction_batch(self, batch, *,
-                                  parallel: bool = True) -> int:
-        """Characterize a columnar batch across the worker fleet.
+    def process_transaction(self, transaction) -> None:
+        """Characterize one monitor transaction (one fleet round)."""
+        self.process_transaction_batch(
+            TransactionBatch.from_transactions([transaction]))
 
-        ``parallel`` is accepted for engine-protocol compatibility; the
-        workers always run concurrently (that is the point of the engine).
-        """
+    def process_batch(self, transactions) -> int:
+        """Characterize monitor transactions as one fleet round."""
+        return self.process_transaction_batch(
+            TransactionBatch.from_transactions(transactions))
+
+    def process_transaction_batch(self, batch) -> int:
+        """Characterize a columnar batch across the worker fleet."""
         self._check_open()
         count = len(batch)
         if count == 0:

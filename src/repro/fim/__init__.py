@@ -12,7 +12,7 @@ from .itemset import (
     support_of,
 )
 from .cminer import CMinerConfig, CMinerResult, cminer_from_records, cminer_mine
-from .sketch import CountMinParams, CountMinSketch, SpaceSaving
+from ..core.sketches import CountMinParams, CountMinSketch, SpaceSaving
 from .rules import AssociationRule, RuleIndex, mine_rules, rules_from_analyzer
 from .pairs import (
     exact_extent_counts,

@@ -36,20 +36,11 @@ from .energy import (
     run_energy_experiment,
 )
 from .zns import ZnsConfig, ZnsDevice, ZnsStats, run_zns_experiment
-from .prefetch import (
-    BlockCache,
-    RulePrefetcher,
-    CacheStats,
-    CorrelationPrefetcher,
-    run_cache_experiment,
-)
 
 __all__ = [
-    "BlockCache",
     "ControllerStats",
     "SelfOptimizingController",
     "death_time_workload",
-    "CacheStats",
     "CorrelationEnergyPlacement",
     "CorrelationPlacement",
     "CorrelationScheduler",
@@ -61,7 +52,6 @@ __all__ = [
     "StripingEnergyPlacement",
     "run_dispatch_experiment",
     "run_energy_experiment",
-    "CorrelationPrefetcher",
     "CorrelationStreamAssigner",
     "FlashConfig",
     "FlashStats",
@@ -69,7 +59,6 @@ __all__ = [
     "OcssdConfig",
     "ParallelIoStats",
     "Placement",
-    "RulePrefetcher",
     "SingleStreamAssigner",
     "StreamAssigner",
     "WearReport",
@@ -78,7 +67,6 @@ __all__ = [
     "ZnsDevice",
     "ZnsStats",
     "run_zns_experiment",
-    "run_cache_experiment",
     "run_parallel_read_experiment",
     "run_waf_experiment",
     "service_transaction",

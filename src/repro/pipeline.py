@@ -80,7 +80,7 @@ class PipelineResult:
     def release(self) -> None:
         """Shut down a process-backed engine's shard worker fleet.
 
-        A run with ``parallel="process"`` leaves live worker processes
+        A run with ``shard_processes=True`` leaves live worker processes
         behind the returned analyzer; call this once the result has been
         queried.  A no-op for in-process engines.
         """
@@ -128,32 +128,23 @@ class _EventBatcher:
 
 
 class _AnalyzerSink:
-    """Monitor sink feeding a batch-capable synopsis engine.
+    """Monitor sink feeding the synopsis engine.
 
     Scalar deliveries (per-event ingest, window flushes) arrive via
     ``__call__``; the monitor's columnar lane hands a whole
     :class:`TransactionBatch` to :meth:`on_transaction_batch`.
     """
 
-    __slots__ = ("_analyzer", "_parallel")
+    __slots__ = ("_analyzer",)
 
-    def __init__(self, analyzer, parallel: bool) -> None:
+    def __init__(self, analyzer) -> None:
         self._analyzer = analyzer
-        self._parallel = parallel
 
     def __call__(self, transaction) -> None:
-        process = getattr(self._analyzer, "process_transaction", None)
-        if process is not None:
-            process(transaction)
-        else:  # batch-only engine (process-backed shards)
-            self._analyzer.process_transaction_batch(
-                TransactionBatch.from_transactions([transaction])
-            )
+        self._analyzer.process_transaction(transaction)
 
-    def on_transaction_batch(self, batch) -> None:
-        self._analyzer.process_transaction_batch(
-            batch, parallel=self._parallel
-        )
+    def on_transaction_batch(self, batch: TransactionBatch) -> None:
+        self._analyzer.process_transaction_batch(batch)
 
 
 class _CacheSink:
@@ -194,7 +185,7 @@ def run_pipeline(
     analyzer: Optional[OnlineAnalyzer] = None,
     shards: int = 1,
     batch_size: Optional[int] = None,
-    parallel: Optional[str] = None,
+    shard_processes: bool = False,
     columnar: bool = True,
     registry: Optional[MetricsRegistry] = None,
     cache: Optional[Union[int, SimulatedBlockCache]] = None,
@@ -221,18 +212,17 @@ def run_pipeline(
     lane cuts transactions in bulk and the engine consumes
     :class:`~repro.monitor.batch.TransactionBatch` columns.
 
-    ``parallel`` selects how a sharded engine processes those batches:
-    ``"thread"`` runs one worker thread per shard, ``"process"`` backs
-    the run with a
+    ``shard_processes`` backs the run with a
     :class:`~repro.engine.procshard.ProcessShardedAnalyzer` -- one worker
     *process* per shard, sidestepping the GIL (call
-    :meth:`PipelineResult.release` when done with the result).  ``None``
-    processes shards sequentially.
+    :meth:`PipelineResult.release` when done with the result).
 
     A pre-built ``analyzer`` may be injected (e.g. a plain
     :class:`OnlineAnalyzer`, or an engine carried over from a previous run
-    for continuous operation); analyzers exposing ``process_transaction``
-    receive the full transaction, others receive the extent list.
+    for continuous operation) in place of ``config``, ``shards`` and
+    ``shard_processes``; it keeps its own shard layout.  It receives
+    monitor transactions through ``process_transaction`` and columnar
+    batches through ``process_transaction_batch``, as every engine does.
 
     ``registry`` selects the telemetry registry the monitor and any
     internally constructed analyzer publish to (``None``: the
@@ -256,16 +246,17 @@ def run_pipeline(
         raise ValueError(f"shards must be >= 1, got {shards}")
     if batch_size is not None and batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if parallel not in (None, "thread", "process"):
-        raise ValueError(
-            f"parallel must be None, 'thread' or 'process', got {parallel!r}"
-        )
     if analyzer is None:
         analyzer = build_engine(config, shards=shards,
-                                processes=parallel == "process",
+                                processes=shard_processes,
                                 registry=registry)
     elif config is not None:
         raise ValueError("pass either a config or a pre-built analyzer")
+    elif shards != 1 or shard_processes:
+        raise ValueError(
+            "a pre-built analyzer keeps its own shard layout; pass shards "
+            "or shard_processes only without one"
+        )
     monitor = Monitor(
         window=window if window is not None else DynamicLatencyWindow(),
         max_transaction_size=max_transaction_size,
@@ -281,14 +272,7 @@ def run_pipeline(
                                         registry=registry)
         prefetcher = SynopsisPrefetcher(analyzer) if prefetch else None
         monitor.add_sink(_CacheSink(CacheDriver(cache, prefetcher)))
-    if hasattr(analyzer, "process_transaction_batch"):
-        monitor.add_sink(_AnalyzerSink(analyzer, parallel is not None))
-    elif hasattr(analyzer, "process_transaction"):
-        monitor.add_sink(analyzer.process_transaction)
-    else:
-        monitor.add_sink(
-            lambda transaction: analyzer.process(transaction.extents)
-        )
+    monitor.add_sink(_AnalyzerSink(analyzer))
     if recorder is not None:
         monitor.add_sink(recorder)
 

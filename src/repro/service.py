@@ -13,8 +13,7 @@ monitor + synopsis engine into that service shape:
   ``columnar_threshold``, converted automatically) flows through the
   monitor's vectorized columnar lane and finished transactions reach the
   engine as :class:`~repro.monitor.batch.TransactionBatch` columns;
-  smaller lists keep the amortized object path (optionally processed
-  thread-per-shard when the engine is sharded);
+  smaller lists keep the amortized object path;
 * :func:`repro.engine.build_engine` picks the synopsis engine: a single
   typed analyzer, or with ``shards > 1`` (or a sketch backend) a
   :class:`~repro.engine.backends.host.BackendEngine` -- same queries,
@@ -135,7 +134,6 @@ class CharacterizationService:
         clock_policy: ClockPolicy = ClockPolicy.REORDER,
         max_clock_skew: Optional[float] = None,
         shards: int = 1,
-        parallel_shards: bool = False,
         shard_processes: bool = False,
         columnar_threshold: Optional[int] = DEFAULT_COLUMNAR_THRESHOLD,
         registry: Optional[MetricsRegistry] = None,
@@ -143,13 +141,10 @@ class CharacterizationService:
         """``shards`` selects the synopsis engine: 1 keeps the classic
         single typed analyzer; N > 1 hash-partitions the tables across N
         shard synopses at ``capacity / N`` each (see
-        :func:`~repro.engine.build_engine`).  ``parallel_shards``
-        additionally processes batched ingest (:meth:`submit_many`) with
-        one worker thread per shard.  ``shard_processes`` backs the
-        shards with one worker *process* each instead (a
-        :class:`ProcessShardedAnalyzer`; always parallel) -- pair it with
-        :meth:`release` so the workers are shut down when the service
-        retires.
+        :func:`~repro.engine.build_engine`).  ``shard_processes`` backs
+        the shards with one worker *process* each (a
+        :class:`ProcessShardedAnalyzer`) -- pair it with :meth:`release`
+        so the workers are shut down when the service retires.
 
         ``columnar_threshold`` sets the batch size at which
         :meth:`submit_many` converts an event list to a columnar
@@ -174,7 +169,6 @@ class CharacterizationService:
         self.min_support = min_support
         self.snapshot_interval = snapshot_interval
         self.shards = shards
-        self.parallel_shards = parallel_shards
         self.shard_processes = shard_processes
         self.columnar_threshold = columnar_threshold
         registry = registry if registry is not None else \
@@ -261,7 +255,6 @@ class CharacterizationService:
     def submit_many(
         self,
         events: Union[Iterable[BlockIOEvent], EventBatch],
-        parallel: Optional[bool] = None,
     ) -> int:
         """Feed a batch of issue events; returns how many were consumed.
 
@@ -272,14 +265,10 @@ class CharacterizationService:
         amortized :meth:`~repro.monitor.monitor.Monitor.on_events` object
         path, and the finished transactions are handed to the engine as
         one :meth:`process_batch` call rather than one callback per
-        transaction.  ``parallel`` overrides the service-level
-        ``parallel_shards`` default (it only has an effect on a sharded
-        engine; process-backed shards are always parallel).  Snapshot
-        observers fire at most once per batch, after the whole batch
-        lands, if one or more snapshot intervals were crossed.
+        transaction.  Snapshot observers fire at most once per batch,
+        after the whole batch lands, if one or more snapshot intervals
+        were crossed.
         """
-        if parallel is None:
-            parallel = self.parallel_shards
         batch_started = time.perf_counter() if self._submit_hist is not None \
             else None
         if not isinstance(events, EventBatch):
@@ -299,9 +288,9 @@ class CharacterizationService:
             self._batch_buffer = None
             self._txn_batches = None
         if object_batch:
-            self._process_batch(object_batch, parallel)
+            self._process_batch(object_batch)
         for txn_batch in txn_batches:
-            self._process_transaction_batch(txn_batch, parallel)
+            self._process_transaction_batch(txn_batch)
         if batch_started is not None:
             self._batch_hist.observe(time.perf_counter() - batch_started)
             self._batch_size_hist.observe(count)
@@ -381,13 +370,7 @@ class CharacterizationService:
         if self._batch_buffer is not None:
             self._batch_buffer.append(transaction)
             return
-        process = getattr(self.analyzer, "process_transaction", None)
-        if process is not None:
-            process(transaction)
-        else:  # batch-only engine (process-backed shards)
-            self.analyzer.process_transaction_batch(
-                TransactionBatch.from_transactions([transaction])
-            )
+        self.analyzer.process_transaction(transaction)
         self._transactions += 1
         if self._transactions % self.snapshot_interval == 0:
             self._notify()
@@ -396,43 +379,21 @@ class CharacterizationService:
         if self._txn_batches is not None:
             self._txn_batches.append(batch)
             return
-        # The monitor was driven directly (not via submit_many); process
-        # in place with the service-level parallelism default.
-        self._process_transaction_batch(batch, self.parallel_shards)
+        # The monitor was driven directly (not via submit_many).
+        self._process_transaction_batch(batch)
 
-    def _process_batch(self, batch: List[Transaction],
-                       parallel: bool) -> None:
+    def _process_batch(self, batch: List[Transaction]) -> None:
         with trace_span("service.analyze", require_parent=True,
                         tags={"transactions": len(batch)}), \
                 self._stage_timer.span("analyze"):
-            process_batch = getattr(self.analyzer, "process_batch", None)
-            if process_batch is not None:
-                process_batch(batch, parallel=parallel)
-            elif hasattr(self.analyzer, "process_transaction"):
-                # a bare analyzer injected by a subclass/test
-                for transaction in batch:
-                    self.analyzer.process_transaction(transaction)
-            else:  # batch-only engine (process-backed shards)
-                self.analyzer.process_transaction_batch(
-                    TransactionBatch.from_transactions(batch)
-                )
+            self.analyzer.process_batch(batch)
         self._after_batch(len(batch))
 
-    def _process_transaction_batch(self, batch: TransactionBatch,
-                                   parallel: bool) -> None:
+    def _process_transaction_batch(self, batch: TransactionBatch) -> None:
         with trace_span("service.analyze", require_parent=True,
                         tags={"transactions": len(batch)}), \
                 self._stage_timer.span("analyze"):
-            process = getattr(
-                self.analyzer, "process_transaction_batch", None
-            )
-            if process is not None:
-                emitted = process(batch, parallel=parallel)
-            else:  # a bare analyzer injected by a subclass/test
-                emitted = 0
-                for transaction in batch.transactions():
-                    self.analyzer.process_transaction(transaction)
-                    emitted += 1
+            emitted = self.analyzer.process_transaction_batch(batch)
         self._after_batch(emitted)
 
     def _after_batch(self, count: int) -> None:

@@ -13,8 +13,7 @@ pairs and identical R/W kind summaries -- on a Zipf-correlated stream and
 an MSR-like enterprise stream, with both static and dynamic (EWMA)
 windows, at ``shards=1`` (the single-analyzer tally-identity anchor) and
 ``shards=4`` -- and that the columnar lane really ran columnar (its
-fallback counter stays 0).  A separate check pins the thread-parallel
-columnar path to its object-path twin.
+fallback counter stays 0).
 """
 
 import random
@@ -88,15 +87,13 @@ def fallbacks(registry):
     return sum(sample["value"] for sample in family["samples"])
 
 
-def run_lane(events, lane, *, shards, window, parallel_shards=False,
-             registry=NULL_REGISTRY):
+def run_lane(events, lane, *, shards, window, registry=NULL_REGISTRY):
     service = CharacterizationService(
         config=CONFIG,
         window=window,
         min_support=1,
         registry=registry,
         shards=shards,
-        parallel_shards=parallel_shards,
         columnar_threshold=None if lane == "object" else CHUNK,
     )
     if lane == "per_event":
@@ -147,17 +144,6 @@ def test_three_lanes_agree(stream, shards):
         assert txns == ref_txns
         assert kinds == ref_kinds, f"{stream}/{shards}: {lane} kinds differ"
     assert fallbacks(registry) == 0
-
-
-def test_thread_parallel_columnar_matches_object_path():
-    events = zipf_events(seed=23, count=6000)
-    object_result = run_lane(events, "object", shards=4,
-                             window=StaticWindow(0.002),
-                             parallel_shards=True)
-    columnar_result = run_lane(events, "columnar", shards=4,
-                               window=StaticWindow(0.002),
-                               parallel_shards=True)
-    assert columnar_result == object_result
 
 
 def test_backwards_batch_counts_one_fallback():

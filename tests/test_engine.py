@@ -11,12 +11,16 @@ The contract under test:
   more) still load exactly, and a single corrupt shard degrades (fresh
   shard + degraded health) instead of destroying the synopsis;
 * the batched ingest paths (``Monitor.on_events``, ``submit_many``,
-  ``process_batch``) match their per-event/per-transaction equivalents.
+  ``process_batch``) match their per-event/per-transaction equivalents;
+* every engine shape takes the same three ingest calls
+  (``process_transaction``, ``process_batch``,
+  ``process_transaction_batch``) with the same result.
 """
 
 import io
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -35,8 +39,11 @@ from repro.engine.checkpoint import (
     load_engine_checkpoint,
     save_engine_checkpoint,
 )
+from repro.engine.procshard import ProcessShardedAnalyzer
+from repro.monitor.batch import TransactionBatch
 from repro.monitor.events import BlockIOEvent
 from repro.monitor.monitor import ClockPolicy, Monitor, TransactionRecorder
+from repro.monitor.transaction import Transaction
 from repro.monitor.window import DynamicLatencyWindow, StaticWindow
 from repro.resilience import ResilientCharacterizationService
 from repro.service import CharacterizationService
@@ -71,6 +78,20 @@ def zipf_transactions(seed=7, groups=300, count=20000, noise_max=3):
                  for _ in range(rng.randrange(0, noise_max))]
         out.append(pools[ranks.sample(rng) - 1] + noise)
     return out
+
+
+def monitor_transactions(extent_lists, seed=0):
+    """Monitor transactions over the given extents, random R/W ops."""
+    rng = random.Random(seed)
+    return [
+        Transaction([
+            BlockIOEvent(timestamp=float(index), pid=1,
+                         op=rng.choice([OpType.READ, OpType.WRITE]),
+                         start=extent.start, length=extent.length)
+            for extent in extents
+        ])
+        for index, extents in enumerate(extent_lists)
+    ]
 
 
 def random_events(seed, count=4000):
@@ -145,11 +166,71 @@ def test_one_shard_matches_typed_analyzer():
 def test_one_shard_engine_batch_matches_single_analyzer():
     engine = BackendEngine(SMALL, shards=1)
     reference = OnlineAnalyzer(SMALL)
-    transactions = random_transactions(5, count=800)
+    transactions = monitor_transactions(random_transactions(5, count=800))
     assert engine.process_batch(transactions) == len(transactions)
     for transaction in transactions:
-        reference.process(transaction)
+        reference.process(transaction.extents)
     assert_tally_identical(engine, reference)
+
+
+# ---------------------------------------------------------------------------
+# One ingest contract for every engine shape
+# ---------------------------------------------------------------------------
+
+#: Tables large enough that the contract streams evict nothing, so
+#: application order cannot change a tally.
+ROOMY = AnalyzerConfig(item_capacity=8192, correlation_capacity=16384)
+
+CONTRACT_ENGINES = {
+    "analyzer": lambda: OnlineAnalyzer(ROOMY),
+    "typed": lambda: TypedOnlineAnalyzer(ROOMY),
+    "two-tier-2": lambda: BackendEngine(ROOMY, shards=2),
+    "cms-2": lambda: BackendEngine(replace(ROOMY, backend="cms"), shards=2),
+    "procs-2": lambda: ProcessShardedAnalyzer(ROOMY, shards=2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CONTRACT_ENGINES))
+def test_every_engine_takes_the_same_ingest_calls(shape):
+    """``process_transaction`` one at a time, one ``process_batch`` and
+    one ``process_transaction_batch`` over the same monitor transactions
+    leave the same synopsis and flow counts on every engine shape."""
+    transactions = monitor_transactions(
+        random_transactions(21, count=400), seed=21)
+    engine = CONTRACT_ENGINES[shape]()
+
+    def per_transaction():
+        for transaction in transactions:
+            engine.process_transaction(transaction)
+        return len(transactions)
+
+    lanes = {
+        "per_transaction": per_transaction,
+        "batch": lambda: engine.process_batch(transactions),
+        "columnar": lambda: engine.process_transaction_batch(
+            TransactionBatch.from_transactions(transactions)),
+    }
+    results = {}
+    try:
+        for lane, feed in lanes.items():
+            engine.reset()
+            assert feed() == len(transactions), lane
+            report = engine.report()
+            for stats in (report.item_stats, report.correlation_stats):
+                assert stats.t1_evictions == stats.t2_evictions == 0
+            results[lane] = (
+                engine.pair_frequencies(),
+                (report.transactions, report.extents_seen,
+                 report.pairs_seen),
+            )
+    finally:
+        if isinstance(engine, ProcessShardedAnalyzer):
+            engine.close()
+    reference = results["per_transaction"]
+    assert reference[0]
+    assert reference[1][0] == len(transactions)
+    assert results["batch"] == reference
+    assert results["columnar"] == reference
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +277,6 @@ def test_four_shard_zipf_recall():
     assert reference, "workload must produce frequent pairs"
     recall = len(reference & detected) / len(reference)
     assert recall >= 0.95, f"sharded recall {recall:.3f} < 0.95"
-
-
-def test_process_batch_parallel_matches_sequential():
-    """With no evictions in play, the thread-per-shard path is exact."""
-    roomy = AnalyzerConfig(item_capacity=4096, correlation_capacity=4096)
-    sequential = BackendEngine(roomy, shards=4)
-    parallel = BackendEngine(roomy, shards=4)
-    transactions = random_transactions(8, count=1500)
-    assert sequential.process_batch(transactions) == len(transactions)
-    assert parallel.process_batch(
-        transactions, parallel=True) == len(transactions)
-    assert sequential.pair_frequencies() == parallel.pair_frequencies()
-    assert (sequential.frequent_extents(1)
-            == parallel.frequent_extents(1))
-    assert sequential.report().pairs_seen == parallel.report().pairs_seen
 
 
 def test_sharded_reset():
@@ -282,7 +348,7 @@ def test_sharded_service_snapshot_matches_single_on_hot_pairs():
     single = CharacterizationService(config=config, min_support=3)
     sharded = CharacterizationService(config=config, min_support=3, shards=4)
     single.submit_many(events)
-    sharded.submit_many(events, parallel=True)
+    sharded.submit_many(events)
     single.flush()
     sharded.flush()
     reference = {pair for pair, _ in single.snapshot().frequent_pairs}

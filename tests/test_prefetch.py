@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.analyzer import OnlineAnalyzer
 from repro.core.config import AnalyzerConfig
-from repro.optimize.prefetch import (
-    BlockCache,
+from repro.cache import (
     CorrelationPrefetcher,
-    run_cache_experiment,
+    RulePrefetcher,
+    SimulatedBlockCache,
+    simulate_cache,
 )
 
 from conftest import ext
@@ -35,24 +36,24 @@ def trained_analyzer(accesses):
 
 class TestBlockCache:
     def test_miss_then_hit(self):
-        cache = BlockCache(16)
+        cache = SimulatedBlockCache(16, policy="lru")
         assert cache.access(ext(0, 4)) == 0
         assert cache.access(ext(0, 4)) == 4
         assert cache.stats.hits == 4
         assert cache.stats.misses == 4
 
     def test_lru_eviction(self):
-        cache = BlockCache(4)
+        cache = SimulatedBlockCache(4, policy="lru")
         cache.access(ext(0, 4))
         cache.access(ext(100, 4))  # evicts blocks 0-3
         assert cache.access(ext(0, 4)) == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            BlockCache(0)
+            SimulatedBlockCache(0, policy="lru")
 
     def test_prefetch_counts_and_attribution(self):
-        cache = BlockCache(16)
+        cache = SimulatedBlockCache(16, policy="lru")
         cache.prefetch(ext(10, 4))
         assert cache.stats.prefetches_issued == 4
         cache.access(ext(10, 4))
@@ -60,7 +61,7 @@ class TestBlockCache:
         assert cache.stats.prefetch_accuracy == 1.0
 
     def test_prefetch_attributed_once(self):
-        cache = BlockCache(16)
+        cache = SimulatedBlockCache(16, policy="lru")
         cache.prefetch(ext(10, 1))
         cache.access(ext(10, 1))
         cache.access(ext(10, 1))
@@ -68,7 +69,7 @@ class TestBlockCache:
         assert cache.stats.hits == 2
 
     def test_prefetch_does_not_count_as_demand(self):
-        cache = BlockCache(16)
+        cache = SimulatedBlockCache(16, policy="lru")
         cache.prefetch(ext(10, 4))
         assert cache.stats.accesses == 0
 
@@ -115,9 +116,10 @@ class TestCacheExperiment:
         accesses = alternating_accesses(pairs=8, rounds=80)
         analyzer = trained_analyzer(accesses)
         capacity = 24  # holds ~1.5 extents of 8 blocks + partner prefetch
-        baseline = run_cache_experiment(accesses, capacity)
-        prefetched = run_cache_experiment(
-            accesses, capacity, CorrelationPrefetcher(analyzer, min_support=3)
+        baseline = simulate_cache(accesses, capacity)
+        prefetched = simulate_cache(
+            accesses, capacity,
+            prefetcher=CorrelationPrefetcher(analyzer, min_support=3),
         )
         assert prefetched.hit_ratio > baseline.hit_ratio
         assert prefetched.prefetch_accuracy > 0.3
@@ -128,7 +130,6 @@ class TestRulePrefetcher:
         """A -> B prefetches B on A, but not A on B when the reverse rule
         is below confidence."""
         from repro.fim.rules import AssociationRule, RuleIndex
-        from repro.optimize.prefetch import RulePrefetcher
 
         rules = RuleIndex([
             AssociationRule(ext(0, 4), ext(1000, 4), 10, 0.9, 3.0),
@@ -139,7 +140,6 @@ class TestRulePrefetcher:
 
     def test_fanout_validation(self):
         from repro.fim.rules import RuleIndex
-        from repro.optimize.prefetch import RulePrefetcher
         import pytest as _pytest
         with _pytest.raises(ValueError):
             RulePrefetcher(RuleIndex([]), fanout=0)
@@ -147,14 +147,13 @@ class TestRulePrefetcher:
     def test_rule_prefetching_in_cache_experiment(self):
         """End to end: rules mined from the analyzer drive prefetching."""
         from repro.fim.rules import RuleIndex, rules_from_analyzer
-        from repro.optimize.prefetch import RulePrefetcher
 
         accesses = alternating_accesses(pairs=8, rounds=80)
         analyzer = trained_analyzer(accesses)
         rules = RuleIndex(rules_from_analyzer(analyzer, min_support=3,
                                               min_confidence=0.5))
-        baseline = run_cache_experiment(accesses, 24)
-        prefetched = run_cache_experiment(
-            accesses, 24, RulePrefetcher(rules, fanout=1)
+        baseline = simulate_cache(accesses, 24)
+        prefetched = simulate_cache(
+            accesses, 24, prefetcher=RulePrefetcher(rules, fanout=1)
         )
         assert prefetched.hit_ratio > baseline.hit_ratio

@@ -88,6 +88,13 @@ class TestPipelineInjection:
         with pytest.raises(ValueError):
             run_pipeline(records, config=AnalyzerConfig(),
                          analyzer=OnlineAnalyzer())
+        # A pre-built analyzer keeps its layout: shard flags are refused
+        # instead of being dropped.
+        with pytest.raises(ValueError):
+            run_pipeline(records, shards=2, analyzer=OnlineAnalyzer())
+        with pytest.raises(ValueError):
+            run_pipeline(records, shard_processes=True,
+                         analyzer=OnlineAnalyzer())
 
     def test_analyzer_reuse_across_runs(self, small_synthetic):
         """Continuous operation: the same synopsis carries over."""

@@ -476,11 +476,11 @@ class TestConcurrencyAndTenants:
 class PoisonService(CharacterizationService):
     """Raises on any batch containing the poison extent."""
 
-    def submit_many(self, events, parallel=None):
+    def submit_many(self, events):
         events = list(events)
         if any(evt.start == 666 for evt in events):
             raise RuntimeError("poisoned batch")
-        return super().submit_many(events, parallel)
+        return super().submit_many(events)
 
 
 class TestFailureIsolation:

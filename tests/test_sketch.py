@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.fim.sketch import CountMinParams, CountMinSketch, SpaceSaving
+from repro.core.sketches import CountMinParams, CountMinSketch, SpaceSaving
 
 
 class TestSpaceSaving:
