@@ -11,12 +11,19 @@ configurable size (8 in the paper's evaluation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..telemetry.metrics import MetricsRegistry, get_default_registry
 from .config import AnalyzerConfig
 from .correlation_table import CorrelationTable
-from .extent import Extent, ExtentInterner, ExtentPair, unique_pairs
+from .extent import (
+    Extent,
+    ExtentPair,
+    extent_of_row,
+    pair_of_ordered,
+    unique_pairs,
+)
 from .item_table import ItemTable
 from .two_tier import TableStats
 
@@ -62,7 +69,6 @@ class OnlineAnalyzer:
         self._transactions = 0
         self._extents_seen = 0
         self._pairs_seen = 0
-        self._interner = ExtentInterner()
         self._bind_metrics(registry, metric_labels)
 
     # -- telemetry ----------------------------------------------------------
@@ -213,41 +219,33 @@ class OnlineAnalyzer:
         this loop performs the same table accesses in the same order and
         leaves the synopsis byte-identical to feeding the materialized
         transactions one at a time.  The speed comes from skipping object
-        materialization: extents are interned straight from the integer
-        columns, and the allocation-light ``access_fast`` table operation
-        replaces :class:`~repro.core.two_tier.AccessResult` construction.
+        materialization: keys are built straight from the integer columns
+        by the unchecked constructors, and the allocation-light
+        ``access_fast`` table operation replaces
+        :class:`~repro.core.two_tier.AccessResult` construction.
         """
-        starts = batch.starts.tolist()
-        lengths = batch.lengths.tolist()
+        extents = list(map(extent_of_row, zip(batch.starts.tolist(),
+                                              batch.lengths.tolist())))
         offsets = batch.offsets.tolist()
-        intern_extent = self._interner.extent
-        intern_pair = self._interner.pair
         items_access = self.items.access_fast
         corr_access = self.correlations.access_fast
         demote = self.config.demote_on_item_eviction
         demote_involving = self.correlations.demote_involving
         count = len(offsets) - 1
-        extents_seen = 0
         pairs_seen = 0
         for t in range(count):
-            lo = offsets[t]
-            hi = offsets[t + 1]
-            extents = [intern_extent(starts[k], lengths[k])
-                       for k in range(lo, hi)]
-            n = hi - lo
-            extents_seen += n
-            for extent in extents:
+            transaction = extents[offsets[t]:offsets[t + 1]]
+            for extent in transaction:
                 evicted = items_access(extent)
                 if demote and evicted is not None:
                     demote_involving(evicted)
+            n = len(transaction)
             if n > 1:
                 pairs_seen += n * (n - 1) // 2
-                for i in range(n - 1):
-                    a = extents[i]
-                    for j in range(i + 1, n):
-                        corr_access(intern_pair(a, extents[j]))
+                for pair in map(pair_of_ordered, combinations(transaction, 2)):
+                    corr_access(pair)
         self._transactions += count
-        self._extents_seen += extents_seen
+        self._extents_seen += len(extents)
         self._pairs_seen += pairs_seen
         return count
 
@@ -270,17 +268,13 @@ class OnlineAnalyzer:
         """Partners most correlated with ``extent``, strongest first.
 
         This is the query-path a correlation-driven prefetcher issues on
-        every cache miss (paper Section I / Section V), so it rides the
-        correlation table's per-extent index rather than scanning every
+        every cache miss (paper Section I / Section V), so it selects the
+        ``k`` best from the correlation table's per-extent index in
+        O(degree) rather than sorting the index or scanning every
         resident pair.
         """
-        tally_of = self.correlations.tally
-        ranked = sorted(
-            ((pair.other(extent), tally_of(pair) or 0)
-             for pair in self.correlations.pairs_involving(extent)),
-            key=lambda entry: (-entry[1], entry[0]),
-        )
-        return ranked[:k]
+        return [(pair.other(extent), tally)
+                for pair, tally in self.correlations.top_involving(extent, k)]
 
     def report(self) -> AnalyzerReport:
         return AnalyzerReport(

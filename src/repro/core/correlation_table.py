@@ -104,6 +104,13 @@ class CorrelationTable:
         """Resident pairs that have ``extent`` as a member."""
         return sorted(self._by_extent.get(extent, ()))
 
+    def top_involving(self, extent: Extent, k: int
+                      ) -> List[Tuple[ExtentPair, int]]:
+        """The ``k`` strongest resident pairs involving ``extent``, in
+        :meth:`frequent` order, selected from the index without sorting
+        it.  Among pairs sharing ``extent``, pair order is partner order."""
+        return self._table.top(self._by_extent.get(extent, ()), k)
+
     def demote_involving(self, extent: Extent) -> int:
         """Demote every resident pair involving ``extent``.
 
@@ -133,13 +140,7 @@ class CorrelationTable:
         the resident pairs filtered by a minimum support (e.g. support 5 in
         Fig. 8, support 10 in Fig. 7).
         """
-        selected = [
-            (pair, tally)
-            for pair, tally, _tier in self._table.items()
-            if tally >= min_tally
-        ]
-        selected.sort(key=lambda entry: (-entry[1], entry[0]))
-        return selected
+        return self._table.frequent(min_tally)
 
     def frequencies(self) -> Dict[ExtentPair, int]:
         """Mapping of every resident pair to its tally."""

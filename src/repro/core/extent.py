@@ -16,34 +16,39 @@ block-granularity ground truth, as in Figures 7 and 8 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Set, Tuple
+from functools import partial
+from itertools import combinations
+from typing import Iterable, Iterator, List, NamedTuple, Set, Tuple
+
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True, order=True)
-class Extent:
+class _ExtentFields(NamedTuple):
+    start: int
+    length: int
+
+
+class Extent(_ExtentFields):
     """A contiguous run of blocks: ``[start, start + length)``.
 
     ``start`` is a block number (the paper uses 64-bit block IDs) and
     ``length`` is the number of blocks (32-bit in the paper's memory model).
     Ordering is lexicographic on ``(start, length)``, which gives extent
     pairs a canonical orientation.
+
+    An extent *is* the tuple ``(start, length)``: it compares equal to,
+    orders like and hashes like that plain tuple, so the synopsis tables
+    hash, compare and sort their keys in C.
     """
 
-    start: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"extent start must be >= 0, got {self.start}")
-        if self.length <= 0:
-            raise ValueError(f"extent length must be > 0, got {self.length}")
-        # Cache the hash: the synopsis tables hash each key several times
-        # per access, and the tuple hash of a frozen dataclass is the single
-        # largest cost in the table hot path.  The cached value is exactly
-        # the dataclass-generated hash -- hash of the field tuple -- so
-        # shard routing (hash % N) and dict behaviour are unchanged.
-        object.__setattr__(self, "_h", hash((self.start, self.length)))
+    def __new__(cls, start: int, length: int) -> "Extent":
+        if start < 0:
+            raise ValueError(f"extent start must be >= 0, got {start}")
+        if length <= 0:
+            raise ValueError(f"extent length must be > 0, got {length}")
+        return _tuple_new(cls, (start, length))
 
     @property
     def end(self) -> int:
@@ -93,27 +98,29 @@ class Extent:
             raise ValueError(f"not a valid extent: {text!r}") from exc
 
 
-@dataclass(frozen=True, order=True)
-class ExtentPair:
+class _PairFields(NamedTuple):
+    first: Extent
+    second: Extent
+
+
+class ExtentPair(_PairFields):
     """A canonical (unordered) pair of distinct extents.
 
     The constructor normalises orientation so that ``first <= second``;
     two pairs built from the same extents in either order compare equal and
     hash identically.  A pair of two *equal* extents is rejected: a
-    deduplicated transaction never pairs an extent with itself.
+    deduplicated transaction never pairs an extent with itself.  Like
+    :class:`Extent`, a pair is the tuple ``(first, second)``.
     """
 
-    first: Extent
-    second: Extent
+    __slots__ = ()
 
-    def __init__(self, a: Extent, b: Extent) -> None:
+    def __new__(cls, a: Extent, b: Extent) -> "ExtentPair":
         if a == b:
             raise ValueError(f"an extent cannot be paired with itself: {a}")
         if b < a:
             a, b = b, a
-        object.__setattr__(self, "first", a)
-        object.__setattr__(self, "second", b)
-        object.__setattr__(self, "_h", hash((a, b)))
+        return _tuple_new(cls, (a, b))
 
     def involves(self, extent: Extent) -> bool:
         """Return whether ``extent`` is one of the two members."""
@@ -148,83 +155,14 @@ class ExtentPair:
         return f"({self.first}, {self.second})"
 
 
-def _cached_hash(self) -> int:
-    return self._h
-
-
-# Replace the dataclass-generated __hash__ (which rebuilds and hashes the
-# field tuple on every call) with a read of the value cached at construction.
-# The cached value *is* the field-tuple hash, so hash-based shard routing and
-# every dict/set keyed on these types behave identically.
-Extent.__hash__ = _cached_hash  # type: ignore[assignment]
-ExtentPair.__hash__ = _cached_hash  # type: ignore[assignment]
-
-
-def pair_of_ordered(a: Extent, b: Extent) -> ExtentPair:
-    """Build an :class:`ExtentPair` from already-canonical members.
-
-    Requires ``a < b`` (distinct, ordered) -- the caller guarantees it, so
-    the comparison/swap/validation in ``ExtentPair.__init__`` is skipped.
-    The columnar engine hot loop builds pairs from a sorted distinct-extent
-    list, where ordering is guaranteed by construction.
-    """
-    pair = object.__new__(ExtentPair)
-    object.__setattr__(pair, "first", a)
-    object.__setattr__(pair, "second", b)
-    object.__setattr__(pair, "_h", hash((a, b)))
-    return pair
-
-
-class ExtentInterner:
-    """Bounded value-identity cache for extents and pairs.
-
-    The columnar lane decodes extents from integer arrays; interning makes
-    repeated sightings of the same extent reuse one object (and therefore
-    one cached hash) instead of allocating a fresh dataclass per sighting.
-    When either cache exceeds ``max_entries`` it is simply cleared --
-    amnesia costs a few reallocations, never correctness, because the
-    tables key by value equality.
-    """
-
-    __slots__ = ("_extents", "_pairs", "_max_entries")
-
-    def __init__(self, max_entries: int = 1 << 17) -> None:
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self._extents: dict = {}
-        self._pairs: dict = {}
-        self._max_entries = max_entries
-
-    def extent(self, start: int, length: int) -> Extent:
-        """Shared :class:`Extent` for ``(start, length)``."""
-        key = (start, length)
-        cached = self._extents.get(key)
-        if cached is not None:
-            return cached
-        if len(self._extents) >= self._max_entries:
-            self._extents.clear()
-        made = object.__new__(Extent)
-        object.__setattr__(made, "start", start)
-        object.__setattr__(made, "length", length)
-        object.__setattr__(made, "_h", hash(key))
-        self._extents[key] = made
-        return made
-
-    def pair(self, a: Extent, b: Extent) -> ExtentPair:
-        """Shared :class:`ExtentPair` for ordered distinct extents ``a < b``."""
-        key = (a.start, a.length, b.start, b.length)
-        cached = self._pairs.get(key)
-        if cached is not None:
-            return cached
-        if len(self._pairs) >= self._max_entries:
-            self._pairs.clear()
-        made = pair_of_ordered(a, b)
-        self._pairs[key] = made
-        return made
-
-    def clear(self) -> None:
-        self._extents.clear()
-        self._pairs.clear()
+#: Unchecked constructors for the hot loops, which build keys straight
+#: from integer columns and sorted distinct-extent lists.  Each takes one
+#: tuple, so ``map`` can feed it from ``zip`` or
+#: ``itertools.combinations`` without a Python-level call:
+#: ``extent_of_row((start, length))`` requires ``start >= 0`` and
+#: ``length > 0``; ``pair_of_ordered((a, b))`` requires ``a < b``.
+extent_of_row = partial(_tuple_new, Extent)
+pair_of_ordered = partial(_tuple_new, ExtentPair)
 
 
 def unique_pairs(extents: Iterable[Extent]) -> List[ExtentPair]:
@@ -235,12 +173,7 @@ def unique_pairs(extents: Iterable[Extent]) -> List[ExtentPair]:
     forms a self-pair nor double-counts a correlation.  For ``N`` distinct
     extents the result has ``C(N, 2)`` elements.
     """
-    distinct = sorted(set(extents))
-    pairs: List[ExtentPair] = []
-    for i, a in enumerate(distinct):
-        for b in distinct[i + 1:]:
-            pairs.append(ExtentPair(a, b))
-    return pairs
+    return list(map(pair_of_ordered, combinations(sorted(set(extents)), 2)))
 
 
 def block_correlations(extents: Iterable[Extent]) -> Set[Tuple[int, int]]:

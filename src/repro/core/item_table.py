@@ -78,13 +78,7 @@ class ItemTable:
 
     def frequent(self, min_tally: int = 1) -> List[Tuple[Extent, int]]:
         """Extents with tally >= ``min_tally``, most frequent first."""
-        selected = [
-            (extent, tally)
-            for extent, tally, _tier in self._table.items()
-            if tally >= min_tally
-        ]
-        selected.sort(key=lambda pair: (-pair[1], pair[0]))
-        return selected
+        return self._table.frequent(min_tally)
 
     def clear(self) -> None:
         self._table.clear()

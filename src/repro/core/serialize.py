@@ -30,6 +30,7 @@ from typing import BinaryIO, List, Tuple, Union
 from .analyzer import OnlineAnalyzer
 from .config import AnalyzerConfig
 from .extent import Extent, ExtentPair
+from .two_tier import TIER1, TIER2
 
 
 class CheckpointCorruptError(ValueError):
@@ -104,7 +105,10 @@ def load_analyzer(stream: BinaryIO) -> OnlineAnalyzer:
 
     Accepts both the CRC-protected v2 format and legacy v1 checkpoints.
     Any integrity or structure violation raises
-    :class:`CheckpointCorruptError`.  The restored synopsis has identical
+    :class:`CheckpointCorruptError`, and so do tiers that no access
+    sequence produces (v1 files carry no CRC to catch them): a key listed
+    twice, or a T1 tally at or above the promotion threshold.  The
+    restored synopsis has identical
     residency, tallies, tier membership, and LRU ordering; operation
     counters (hits/misses) start fresh -- they describe a process
     lifetime, not the learned state.
@@ -153,35 +157,44 @@ def load_analyzer(stream: BinaryIO) -> OnlineAnalyzer:
     except ValueError as exc:
         raise CheckpointCorruptError(f"bad synopsis header: {exc}") from exc
 
-    def _read_items(count: int, queue) -> None:
+    def _read_section(count: int, table, tier: int, entry: struct.Struct,
+                      make_key, what: str) -> None:
+        """Read one tier's entries, rejecting what no access sequence can
+        produce: a key listed twice (within a tier or across both) and a
+        T1 tally at or above the promotion threshold, which the hit that
+        reached it would have promoted."""
+        queue = table.t1 if tier == TIER1 else table.t2
         for _ in range(count):
-            chunk = stream.read(_ITEM.size)
-            if len(chunk) != _ITEM.size:
-                raise CheckpointCorruptError("truncated item section")
-            start, length, tally = _ITEM.unpack(chunk)
+            chunk = stream.read(entry.size)
+            if len(chunk) != entry.size:
+                raise CheckpointCorruptError(f"truncated {what} section")
+            *fields, tally = entry.unpack(chunk)
             try:
-                queue.insert(Extent(start, length), tally)
+                key = make_key(*fields)
             except ValueError as exc:
-                raise CheckpointCorruptError(f"bad item entry: {exc}") from exc
+                raise CheckpointCorruptError(
+                    f"bad {what} entry: {exc}") from exc
+            if key in table:
+                raise CheckpointCorruptError(
+                    f"{what} {key} appears twice (in "
+                    f"T{table.tier_of(key)}, again in T{tier})")
+            if tier == TIER1 and tally >= promote:
+                raise CheckpointCorruptError(
+                    f"{what} {key} has tally {tally} in T1, at or above "
+                    f"the promotion threshold {promote}")
+            queue.insert(key, tally)
 
-    def _read_pairs(count: int, queue) -> None:
-        for _ in range(count):
-            chunk = stream.read(_PAIR.size)
-            if len(chunk) != _PAIR.size:
-                raise CheckpointCorruptError("truncated pair section")
-            a_start, a_length, b_start, b_length, tally = _PAIR.unpack(chunk)
-            try:
-                pair = ExtentPair(Extent(a_start, a_length),
-                                  Extent(b_start, b_length))
-            except ValueError as exc:
-                raise CheckpointCorruptError(f"bad pair entry: {exc}") from exc
-            queue.insert(pair, tally)
+    def _pair(a_start: int, a_length: int, b_start: int,
+              b_length: int) -> ExtentPair:
+        return ExtentPair(Extent(a_start, a_length), Extent(b_start, b_length))
+
+    _read_section(n_item_t1, items, TIER1, _ITEM, Extent, "item")
+    _read_section(n_item_t2, items, TIER2, _ITEM, Extent, "item")
+    _read_section(n_pair_t1, correlations, TIER1, _PAIR, _pair, "pair")
+    _read_section(n_pair_t2, correlations, TIER2, _PAIR, _pair, "pair")
+    for tier in (correlations.t1, correlations.t2):
+        for pair, _tally in tier.items():
             analyzer.correlations._index(pair)
-
-    _read_items(n_item_t1, items.t1)
-    _read_items(n_item_t2, items.t2)
-    _read_pairs(n_pair_t1, correlations.t1)
-    _read_pairs(n_pair_t2, correlations.t2)
     return analyzer
 
 

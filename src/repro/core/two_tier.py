@@ -18,8 +18,10 @@ frequency against recency with a single pass over the transaction stream.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Generic, Hashable, List, Optional, Tuple, TypeVar
+from operator import itemgetter
+from typing import Generic, Hashable, Iterable, List, Optional, Tuple, TypeVar
 
 from .lru import LruQueue
 
@@ -28,6 +30,18 @@ K = TypeVar("K", bound=Hashable)
 #: Which tier an entry lives in.
 TIER1 = 1
 TIER2 = 2
+
+
+def rank(entries: List[Tuple[K, int]]) -> List[Tuple[K, int]]:
+    """Sort ``(key, count)`` entries in place into synopsis order --
+    highest count first, ties broken by key -- and return them.
+
+    The same order as sorting by ``(-count, key)``, but both passes
+    compare in C: a sort by key, then a stable descending sort by count.
+    """
+    entries.sort(key=itemgetter(0))
+    entries.sort(key=itemgetter(1), reverse=True)
+    return entries
 
 
 @dataclass
@@ -146,6 +160,33 @@ class TwoTierTable(Generic[K]):
         out = [(key, tally, TIER2) for key, tally in self._t2.items()]
         out.extend((key, tally, TIER1) for key, tally in self._t1.items())
         return out
+
+    def frequent(self, min_tally: int = 1) -> List[Tuple[K, int]]:
+        """``(key, tally)`` with tally >= ``min_tally``, highest tally
+        first, ties broken by key.
+
+        A T1 tally stays below the promotion threshold by construction:
+        the hit that reaches the threshold moves the entry to T2 (see
+        :meth:`access`).  A support at or above the threshold therefore
+        reads T2 alone.
+        """
+        selected = [entry for entry in self._t2.items()
+                    if entry[1] >= min_tally]
+        if min_tally < self._promote_threshold:
+            selected += [entry for entry in self._t1.items()
+                         if entry[1] >= min_tally]
+        return rank(selected)
+
+    def top(self, keys: Iterable[K], k: int) -> List[Tuple[K, int]]:
+        """The ``k`` of the resident ``keys`` with the highest tallies,
+        in :meth:`frequent` order: exactly the first ``k`` of sorting
+        them all, selected without that sort."""
+        t2 = self._t2._entries
+        t1 = self._t1._entries
+        best = heapq.nsmallest(k, [
+            (-(t2[key] if key in t2 else t1[key]), key) for key in keys
+        ])
+        return [(key, -negated) for negated, key in best]
 
     # -- the single-pass access operation ------------------------------------
 

@@ -18,12 +18,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..trace.record import OpType
 from .analyzer import OnlineAnalyzer
 from .config import AnalyzerConfig
-from .extent import Extent, ExtentPair, unique_pairs
+from .extent import (
+    Extent,
+    ExtentPair,
+    extent_of_row,
+    pair_of_ordered,
+    unique_pairs,
+)
 
 
 class CorrelationKind(enum.Enum):
@@ -34,7 +41,7 @@ class CorrelationKind(enum.Enum):
     MIXED = "mixed"   # one read, one write
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeTally:
     """Per-pair occurrence counts by operation mix."""
 
@@ -192,12 +199,10 @@ class TypedOnlineAnalyzer(OnlineAnalyzer):
         The pair kind falls out of the op-code sum (read=0, write=1):
         0 is read/read, 2 write/write, 1 mixed.
         """
-        starts = batch.starts.tolist()
-        lengths = batch.lengths.tolist()
+        extents = list(map(extent_of_row, zip(batch.starts.tolist(),
+                                              batch.lengths.tolist())))
         ops = batch.ops.tolist()
         offsets = batch.offsets.tolist()
-        intern_extent = self._interner.extent
-        intern_pair = self._interner.pair
         items_access = self.items.access_fast
         corr_access = self.correlations.access_fast
         demote = self.config.demote_on_item_eviction
@@ -206,41 +211,36 @@ class TypedOnlineAnalyzer(OnlineAnalyzer):
         types_get = types.get
         types_pop = types.pop
         count = len(offsets) - 1
-        extents_seen = 0
         pairs_seen = 0
         for t in range(count):
             lo = offsets[t]
             hi = offsets[t + 1]
-            extents = [intern_extent(starts[k], lengths[k])
-                       for k in range(lo, hi)]
-            n = hi - lo
-            extents_seen += n
-            for extent in extents:
+            transaction = extents[lo:hi]
+            for extent in transaction:
                 evicted = items_access(extent)
                 if demote and evicted is not None:
                     demote_involving(evicted)
+            n = hi - lo
             if n > 1:
                 pairs_seen += n * (n - 1) // 2
-                for i in range(n - 1):
-                    a = extents[i]
-                    op_a = ops[lo + i]
-                    for j in range(i + 1, n):
-                        pair = intern_pair(a, extents[j])
-                        evicted_pair = corr_access(pair)
-                        if evicted_pair is not None:
-                            types_pop(evicted_pair, None)
-                        tally = types_get(pair)
-                        if tally is None:
-                            types[pair] = tally = TypeTally()
-                        mix = op_a + ops[lo + j]
-                        if mix == 0:
-                            tally.read += 1
-                        elif mix == 2:
-                            tally.write += 1
-                        else:
-                            tally.mixed += 1
+                mixes = map(sum, combinations(ops[lo:hi], 2))
+                for pair, mix in zip(map(pair_of_ordered,
+                                         combinations(transaction, 2)),
+                                     mixes):
+                    evicted_pair = corr_access(pair)
+                    if evicted_pair is not None:
+                        types_pop(evicted_pair, None)
+                    tally = types_get(pair)
+                    if tally is None:
+                        types[pair] = tally = TypeTally()
+                    if mix == 0:
+                        tally.read += 1
+                    elif mix == 2:
+                        tally.write += 1
+                    else:
+                        tally.mixed += 1
         self._transactions += count
-        self._extents_seen += extents_seen
+        self._extents_seen += len(extents)
         self._pairs_seen += pairs_seen
         return count
 
@@ -296,10 +296,14 @@ class TypedOnlineAnalyzer(OnlineAnalyzer):
         return summary
 
     def adopt(self, other: OnlineAnalyzer) -> None:
-        """Adopt a restored synopsis; the typed sidecar starts fresh.
+        """Adopt another analyzer's synopsis, with its typed sidecar when
+        it has one.
 
-        Type mixes are rebuilt from future traffic -- the checkpoint format
-        stores the paper's native entry layout, which has no R/W sidecar.
+        A typed donor's sidecar is copied.  A plain donor -- what
+        :func:`~repro.core.serialize.load_analyzer` returns, since the v2
+        checkpoint stores the paper's native entry layout and no R/W
+        sidecar -- leaves the sidecar empty, and type mixes are rebuilt
+        from future traffic.
         """
         super().adopt(other)
         self._types = (dict(other._types)

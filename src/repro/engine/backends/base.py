@@ -33,6 +33,7 @@ structure, and its state codec.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import (
     Dict,
     List,
@@ -45,9 +46,24 @@ from typing import (
 
 from ...core.analyzer import AnalyzerReport
 from ...core.config import AnalyzerConfig
-from ...core.extent import Extent, ExtentInterner, ExtentPair, unique_pairs
-from ...core.two_tier import TableStats
+from ...core.extent import (
+    Extent,
+    ExtentPair,
+    extent_of_row,
+    pair_of_ordered,
+    unique_pairs,
+)
+from ...core.two_tier import TableStats, rank
 from ...core.typed import CorrelationKind, TypeTally
+
+
+def pairs_of_columns(a_starts, a_lengths, b_starts, b_lengths):
+    """Canonical pairs from the procshard wire format's four columns (the
+    router emits each pair as ``a < b``)."""
+    return map(pair_of_ordered, zip(
+        map(extent_of_row, zip(a_starts.tolist(), a_lengths.tolist())),
+        map(extent_of_row, zip(b_starts.tolist(), b_lengths.tolist())),
+    ))
 
 
 @runtime_checkable
@@ -108,7 +124,6 @@ class BackendBase:
 
     def __init__(self, config: Optional[AnalyzerConfig] = None) -> None:
         self.config = config or AnalyzerConfig()
-        self._interner = ExtentInterner()
         self._transactions = 0
         self._extents_seen = 0
         self._pairs_seen = 0
@@ -155,27 +170,22 @@ class BackendBase:
     def process_transaction_batch(self, batch) -> int:
         """Characterize a columnar :class:`TransactionBatch` (rows are
         already deduplicated per transaction by the monitor)."""
-        starts = batch.starts.tolist()
-        lengths = batch.lengths.tolist()
+        extents = list(map(extent_of_row, zip(batch.starts.tolist(),
+                                              batch.lengths.tolist())))
         offsets = batch.offsets.tolist()
-        intern_extent = self._interner.extent
-        intern_pair = self._interner.pair
+        update_item = self.update_item
+        update_pair = self.update_pair
         count = len(offsets) - 1
         for t in range(count):
-            lo = offsets[t]
-            hi = offsets[t + 1]
-            extents = [intern_extent(starts[k], lengths[k])
-                       for k in range(lo, hi)]
-            m = hi - lo
-            self._extents_seen += m
-            for extent in extents:
-                self.update_item(extent)
+            transaction = extents[offsets[t]:offsets[t + 1]]
+            for extent in transaction:
+                update_item(extent)
+            m = len(transaction)
             if m > 1:
                 self._pairs_seen += m * (m - 1) // 2
-                for i in range(m - 1):
-                    a = extents[i]
-                    for j in range(i + 1, m):
-                        self.update_pair(intern_pair(a, extents[j]))
+                for pair in map(pair_of_ordered, combinations(transaction, 2)):
+                    update_pair(pair)
+        self._extents_seen += len(extents)
         self._transactions += count
         return count
 
@@ -193,20 +203,18 @@ class BackendBase:
         format): items first, then pairs with their R/W mix.  Returns
         item evictions as ``(start, length)`` rows for cross-shard
         demotion -- always empty for sketch backends."""
-        intern_extent = self._interner.extent
-        intern_pair = self._interner.pair
         update_item = self.update_item
         update_pair = self.update_pair
         evicted_out: List[Tuple[int, int]] = []
-        for start, length in zip(item_starts.tolist(), item_lengths.tolist()):
-            evicted = update_item(intern_extent(start, length))
+        for extent in map(extent_of_row, zip(item_starts.tolist(),
+                                             item_lengths.tolist())):
+            evicted = update_item(extent)
             if evicted is not None:
                 evicted_out.append((evicted.start, evicted.length))
-        pair_rows = zip(a_starts.tolist(), a_lengths.tolist(),
-                        b_starts.tolist(), b_lengths.tolist(), mixes.tolist())
-        for a_start, a_length, b_start, b_length, mix in pair_rows:
-            update_pair(intern_pair(intern_extent(a_start, a_length),
-                                    intern_extent(b_start, b_length)), mix)
+        for pair, mix in zip(pairs_of_columns(a_starts, a_lengths,
+                                              b_starts, b_lengths),
+                             mixes.tolist()):
+            update_pair(pair, mix)
         self._extents_seen += len(item_starts)
         self._pairs_seen += len(a_starts)
         return evicted_out
@@ -229,9 +237,7 @@ class BackendBase:
                 continue
             if count > partners.get(other, 0):
                 partners[other] = count
-        ranked = sorted(partners.items(),
-                        key=lambda entry: (-entry[1], entry[0]))
-        return ranked[:k]
+        return rank(list(partners.items()))[:k]
 
     def frequent_pairs(self, min_support: int = 2
                        ) -> List[Tuple[ExtentPair, int]]:

@@ -31,9 +31,10 @@ import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ...core.config import AnalyzerConfig
-from ...core.extent import Extent, ExtentPair, pair_of_ordered
+from ...core.extent import Extent, ExtentPair, extent_of_row, pair_of_ordered
 from ...core.memory_model import chh_backend_bytes
 from ...core.sketches import SpaceSaving
+from ...core.two_tier import rank
 from .base import BackendBase
 
 
@@ -43,9 +44,9 @@ def _dump_entries(summary: SpaceSaving) -> List[List[int]]:
 
 
 def _load_entries(summary: SpaceSaving, rows: Iterable[List[int]],
-                  total: int, intern_extent) -> None:
+                  total: int) -> None:
     summary.restore_entries(
-        [(intern_extent(start, length), count, error)
+        [(extent_of_row((start, length)), count, error)
          for start, length, count, error in rows],
         total=total,
     )
@@ -100,22 +101,19 @@ class CHHBackend(BackendBase):
             for partner, count, _error in inner.entries():
                 if count < min_support or item == partner:
                     continue
-                pair = (pair_of_ordered(item, partner) if item < partner
-                        else pair_of_ordered(partner, item))
+                pair = pair_of_ordered((item, partner) if item < partner
+                                       else (partner, item))
                 if count > best.get(pair, 0):
                     best[pair] = count
         return best
 
     def top_pairs(self, k: int = 100, min_support: int = 1
                   ) -> List[Tuple[ExtentPair, int]]:
-        ranked = sorted(self._pair_estimates(min_support).items(),
-                        key=lambda entry: (-entry[1], entry[0]))
-        return ranked[:k]
+        return rank(list(self._pair_estimates(min_support).items()))[:k]
 
     def frequent_pairs(self, min_support: int = 2
                        ) -> List[Tuple[ExtentPair, int]]:
-        return sorted(self._pair_estimates(min_support).items(),
-                      key=lambda entry: (-entry[1], entry[0]))
+        return rank(list(self._pair_estimates(min_support).items()))
 
     def pair_frequencies(self) -> Dict[ExtentPair, int]:
         return self._pair_estimates(1)
@@ -133,15 +131,11 @@ class CHHBackend(BackendBase):
             count = other.count(extent)
             if count > partners.get(item, 0):
                 partners[item] = count
-        ranked = sorted(partners.items(),
-                        key=lambda entry: (-entry[1], entry[0]))
-        return ranked[:k]
+        return rank(list(partners.items()))[:k]
 
     def frequent_extents(self, min_support: int = 2
                          ) -> List[Tuple[Extent, int]]:
-        ranked = self._items.frequent(min_support)
-        ranked.sort(key=lambda entry: (-entry[1], entry[0]))
-        return ranked
+        return rank(self._items.frequent(min_support))
 
     # -- accounting and lifecycle ------------------------------------------
 
@@ -198,16 +192,13 @@ class CHHBackend(BackendBase):
                     ) -> "CHHBackend":
         state = json.loads(payload.decode("utf-8"))
         backend = cls(config)
-        intern = backend._interner.extent
         backend._restore_counters(state["counters"])
-        _load_entries(backend._outer, state["outer"],
-                      state["outer_total"], intern)
-        _load_entries(backend._items, state["items"],
-                      state["items_total"], intern)
+        _load_entries(backend._outer, state["outer"], state["outer_total"])
+        _load_entries(backend._items, state["items"], state["items_total"])
         for start, length, rows, total in state["inner"]:
             inner = SpaceSaving(backend._partner_capacity)
-            _load_entries(inner, rows, total, intern)
-            backend._inners[intern(start, length)] = inner
+            _load_entries(inner, rows, total)
+            backend._inners[extent_of_row((start, length))] = inner
         return backend
 
     def reset(self) -> None:

@@ -22,9 +22,10 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from ...core.config import AnalyzerConfig
-from ...core.extent import Extent, ExtentPair
+from ...core.extent import Extent, ExtentPair, extent_of_row, pair_of_ordered
 from ...core.memory_model import cms_backend_bytes
 from ...core.sketches import CountMinParams, CountMinSketch, SpaceSaving
+from ...core.two_tier import rank
 from .base import BackendBase
 from .chh import _dump_entries, _load_entries
 
@@ -62,24 +63,18 @@ class CountMinPairBackend(BackendBase):
 
     def top_pairs(self, k: int = 100, min_support: int = 1
                   ) -> List[Tuple[ExtentPair, int]]:
-        ranked = self._sketch.heavy_hitters(min_support)
-        ranked.sort(key=lambda entry: (-entry[1], entry[0]))
-        return ranked[:k]
+        return rank(self._sketch.heavy_hitters(min_support))[:k]
 
     def frequent_pairs(self, min_support: int = 2
                        ) -> List[Tuple[ExtentPair, int]]:
-        ranked = self._sketch.heavy_hitters(min_support)
-        ranked.sort(key=lambda entry: (-entry[1], entry[0]))
-        return ranked
+        return rank(self._sketch.heavy_hitters(min_support))
 
     def pair_frequencies(self) -> Dict[ExtentPair, int]:
         return dict(self._sketch.heavy_hitters(1))
 
     def frequent_extents(self, min_support: int = 2
                          ) -> List[Tuple[Extent, int]]:
-        ranked = self._items.frequent(min_support)
-        ranked.sort(key=lambda entry: (-entry[1], entry[0]))
-        return ranked
+        return rank(self._items.frequent(min_support))
 
     # -- accounting and lifecycle ------------------------------------------
 
@@ -144,21 +139,19 @@ class CountMinPairBackend(BackendBase):
                     ) -> "CountMinPairBackend":
         state = json.loads(payload.decode("utf-8"))
         backend = cls(config)
-        intern_extent = backend._interner.extent
-        intern_pair = backend._interner.pair
         backend._restore_counters(state["counters"])
         backend._sketch.restore_state(
             state["rows"],
             state["total"],
             [
-                (intern_pair(intern_extent(a_start, a_length),
-                             intern_extent(b_start, b_length)), estimate)
+                (pair_of_ordered((extent_of_row((a_start, a_length)),
+                                  extent_of_row((b_start, b_length)))),
+                 estimate)
                 for a_start, a_length, b_start, b_length, estimate
                 in state["candidates"]
             ],
         )
-        _load_entries(backend._items, state["items"],
-                      state["items_total"], intern_extent)
+        _load_entries(backend._items, state["items"], state["items_total"])
         return backend
 
     def reset(self) -> None:

@@ -42,12 +42,19 @@ from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace as dataclasses_replace
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...core.analyzer import AnalyzerReport
 from ...core.config import AnalyzerConfig
-from ...core.extent import Extent, ExtentInterner, ExtentPair, unique_pairs
-from ...core.two_tier import TableStats
+from ...core.extent import (
+    Extent,
+    ExtentPair,
+    extent_of_row,
+    pair_of_ordered,
+    unique_pairs,
+)
+from ...core.two_tier import TableStats, rank
 from ...core.typed import CorrelationKind, TypeTally
 from ...monitor.batch import _OP_TO_CODE
 from ...telemetry.metrics import MetricsRegistry, get_default_registry
@@ -99,8 +106,7 @@ def merge_ranked(parts: Iterable[List[Tuple]]) -> List[Tuple]:
     merged: List[Tuple] = []
     for part in parts:
         merged.extend(part)
-    merged.sort(key=lambda entry: (-entry[1], entry[0]))
-    return merged
+    return rank(merged)
 
 
 def merge_partners(parts: Iterable[List[Tuple[Extent, int]]],
@@ -112,8 +118,7 @@ def merge_partners(parts: Iterable[List[Tuple[Extent, int]]],
         for partner, count in part:
             if count > best.get(partner, 0):
                 best[partner] = count
-    ranked = sorted(best.items(), key=lambda entry: (-entry[1], entry[0]))
-    return ranked[:k]
+    return rank(list(best.items()))[:k]
 
 
 class BackendEngine:
@@ -146,7 +151,6 @@ class BackendEngine:
         self._transactions = 0
         self._extents_seen = 0
         self._pairs_seen = 0
-        self._interner = ExtentInterner()
         self._bind_metrics(
             registry if registry is not None else get_default_registry()
         )
@@ -325,8 +329,8 @@ TransactionBatch`.
         :meth:`process_typed`, so the result is tally- and stats-identical
         to the object path.
         """
-        starts = batch.starts.tolist()
-        lengths = batch.lengths.tolist()
+        extents = list(map(extent_of_row, zip(batch.starts.tolist(),
+                                              batch.lengths.tolist())))
         ops = batch.ops.tolist()
         offsets = batch.offsets.tolist()
         backends = self._backends
@@ -334,35 +338,29 @@ TransactionBatch`.
         update_item = [backend.update_item for backend in backends]
         update_pair = [backend.update_pair for backend in backends]
         demote_item = [backend.demote_item for backend in backends]
-        intern_extent = self._interner.extent
-        intern_pair = self._interner.pair
         count = len(offsets) - 1
-        extents_seen = 0
         pairs_seen = 0
         for t in range(count):
             lo = offsets[t]
             hi = offsets[t + 1]
-            extents = [intern_extent(starts[k], lengths[k])
-                       for k in range(lo, hi)]
-            m = hi - lo
-            extents_seen += m
-            for extent in extents:
+            transaction = extents[lo:hi]
+            for extent in transaction:
                 owner = hash(extent) % n
                 evicted = update_item[owner](extent)
                 if evicted is not None:
                     for index in range(n):
                         if index != owner:
                             demote_item[index](evicted)
+            m = hi - lo
             if m > 1:
                 pairs_seen += m * (m - 1) // 2
-                for i in range(m - 1):
-                    a = extents[i]
-                    op_a = ops[lo + i]
-                    for j in range(i + 1, m):
-                        pair = intern_pair(a, extents[j])
-                        update_pair[hash(pair) % n](pair, op_a + ops[lo + j])
+                mixes = map(sum, combinations(ops[lo:hi], 2))
+                for pair, mix in zip(map(pair_of_ordered,
+                                         combinations(transaction, 2)),
+                                     mixes):
+                    update_pair[hash(pair) % n](pair, mix)
         self._transactions += count
-        self._extents_seen += extents_seen
+        self._extents_seen += len(extents)
         self._pairs_seen += pairs_seen
         return count
 

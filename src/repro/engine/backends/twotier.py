@@ -23,12 +23,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...core.analyzer import AnalyzerReport
 from ...core.config import AnalyzerConfig
-from ...core.extent import Extent, ExtentPair
+from ...core.extent import Extent, ExtentPair, extent_of_row, pair_of_ordered
 from ...core.memory_model import two_tier_backend_bytes
 from ...core.serialize import dumps_analyzer, loads_analyzer
 from ...core.typed import CorrelationKind, TypedOnlineAnalyzer, TypeTally
 from ...telemetry import NULL_REGISTRY
-from .base import BackendBase
+from .base import BackendBase, pairs_of_columns
 
 _U32 = struct.Struct("<I")
 
@@ -50,11 +50,9 @@ def _side_state(analyzer: TypedOnlineAnalyzer) -> Tuple:
 
 def _restore_side_state(analyzer: TypedOnlineAnalyzer, side: Sequence) -> None:
     rows, item_stats, corr_stats, counters = side
-    intern_extent = analyzer._interner.extent
-    intern_pair = analyzer._interner.pair
     analyzer._types = {
-        intern_pair(intern_extent(a_start, a_length),
-                    intern_extent(b_start, b_length)):
+        pair_of_ordered((extent_of_row((a_start, a_length)),
+                         extent_of_row((b_start, b_length)))):
         TypeTally(read=read, write=write, mixed=mixed)
         for a_start, a_length, b_start, b_length, read, write, mixed in rows
     }
@@ -78,8 +76,6 @@ class TwoTierBackend(BackendBase):
             analyzer = TypedOnlineAnalyzer(self.config,
                                            registry=NULL_REGISTRY)
         self.analyzer = analyzer
-        # One interner for host-side routing and the analyzer's own lanes.
-        self._interner = analyzer._interner
 
     def bind_metrics(self, registry, shard: int) -> None:
         self.analyzer.rebind_metrics(registry, {"shard": str(shard)})
@@ -133,16 +129,15 @@ class TwoTierBackend(BackendBase):
         their R/W mix.  Returns the item-table evictions as
         ``(start, length)`` tuples for cross-shard demotion."""
         analyzer = self.analyzer
-        intern_extent = analyzer._interner.extent
-        intern_pair = analyzer._interner.pair
         items_access = analyzer.items.access_fast
         corr_access = analyzer.correlations.access_fast
         demote = analyzer.config.demote_on_item_eviction
         demote_involving = analyzer.correlations.demote_involving
         evicted_out: List[Tuple[int, int]] = []
 
-        for start, length in zip(item_starts.tolist(), item_lengths.tolist()):
-            evicted = items_access(intern_extent(start, length))
+        for extent in map(extent_of_row, zip(item_starts.tolist(),
+                                             item_lengths.tolist())):
+            evicted = items_access(extent)
             if demote and evicted is not None:
                 demote_involving(evicted)
                 evicted_out.append((evicted.start, evicted.length))
@@ -150,11 +145,9 @@ class TwoTierBackend(BackendBase):
         types = analyzer._types
         types_get = types.get
         types_pop = types.pop
-        pair_rows = zip(a_starts.tolist(), a_lengths.tolist(),
-                        b_starts.tolist(), b_lengths.tolist(), mixes.tolist())
-        for a_start, a_length, b_start, b_length, mix in pair_rows:
-            pair = intern_pair(intern_extent(a_start, a_length),
-                               intern_extent(b_start, b_length))
+        for pair, mix in zip(pairs_of_columns(a_starts, a_lengths,
+                                              b_starts, b_lengths),
+                             mixes.tolist()):
             evicted_pair = corr_access(pair)
             if evicted_pair is not None:
                 types_pop(evicted_pair, None)

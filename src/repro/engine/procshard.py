@@ -49,7 +49,7 @@ import numpy as np
 
 from ..core.analyzer import AnalyzerReport
 from ..core.config import AnalyzerConfig
-from ..core.extent import Extent, ExtentPair
+from ..core.extent import Extent, ExtentPair, extent_of_row
 from ..core.typed import CorrelationKind, TypeTally
 from ..monitor.batch import TransactionBatch
 from ..telemetry.aggregate import merge_worker_snapshot
@@ -228,10 +228,8 @@ def _shard_worker_main(conn, config: AnalyzerConfig, index: int = 0,
                            registry.snapshot() if registry is not None
                            else None))
             elif op == "demote":
-                intern_extent = backend._interner.extent
-                demote_item = backend.demote_item
-                for start, length in message[1]:
-                    demote_item(intern_extent(start, length))
+                for extent in map(extent_of_row, message[1]):
+                    backend.demote_item(extent)
                 # Fire-and-forget: no ack, FIFO ordering is the guarantee.
             elif op == "query":
                 _op, name, args, kwargs = message

@@ -1,11 +1,15 @@
 """Tests for extents and extent pairs (paper Section II-A / Fig. 2)."""
 
+import pickle
+
 import pytest
 
 from repro.core.extent import (
     Extent,
     ExtentPair,
     block_correlations,
+    extent_of_row,
+    pair_of_ordered,
     unique_pairs,
 )
 
@@ -108,6 +112,60 @@ class TestExtentPair:
     def test_block_pairs_contents(self):
         pair = ExtentPair(Extent(0, 2), Extent(10, 1))
         assert set(pair.block_pairs()) == {(0, 10), (1, 10)}
+
+
+class TestKeyContract:
+    """Extents and pairs are the plain tuples they hold, so the synopsis
+    tables hash, compare and sort them in C -- and ``hash() % N`` shard
+    routing is the same as when they hashed their field tuples."""
+
+    def test_extent_hashes_and_equals_its_tuple(self):
+        for start, length in ((0, 1), (100, 4), (2**40, 7)):
+            assert hash(Extent(start, length)) == hash((start, length))
+            assert Extent(start, length) == (start, length)
+
+    def test_pair_hashes_like_its_ordered_member_tuple(self):
+        a, b = Extent(200, 3), Extent(100, 4)
+        assert hash(ExtentPair(a, b)) == hash((b, a))
+        assert hash(ExtentPair(a, b)) == hash(((100, 4), (200, 3)))
+        assert ExtentPair(a, b) == (b, a)
+
+    def test_pickle_round_trip_keeps_type(self):
+        extent = Extent(100, 4)
+        pair = ExtentPair(Extent(200, 3), extent)
+        for value in (extent, pair):
+            restored = pickle.loads(pickle.dumps(value))
+            assert restored == value
+            assert type(restored) is type(value)
+        assert type(pickle.loads(pickle.dumps(pair)).first) is Extent
+
+    def test_validation_errors_unchanged(self):
+        with pytest.raises(ValueError, match="extent start must be >= 0, got -1"):
+            Extent(-1, 4)
+        with pytest.raises(ValueError, match="extent length must be > 0, got 0"):
+            Extent(0, 0)
+        with pytest.raises(ValueError,
+                           match=r"cannot be paired with itself: 1\+1"):
+            ExtentPair(Extent(1, 1), Extent(1, 1))
+
+    def test_str_and_repr_unchanged(self):
+        pair = ExtentPair(Extent(200, 3), Extent(100, 4))
+        assert str(pair) == "(100+4, 200+3)"
+        assert repr(Extent(100, 4)) == "Extent(start=100, length=4)"
+        assert repr(pair) == ("ExtentPair(first=Extent(start=100, length=4), "
+                              "second=Extent(start=200, length=3))")
+
+    def test_no_instance_dict(self):
+        with pytest.raises(AttributeError):
+            Extent(1, 1).tag = "x"
+
+    def test_unchecked_constructors_build_the_same_keys(self):
+        extent = extent_of_row((100, 4))
+        assert type(extent) is Extent and extent == Extent(100, 4)
+        a, b = Extent(100, 4), Extent(200, 3)
+        pair = pair_of_ordered((a, b))
+        assert type(pair) is ExtentPair and pair == ExtentPair(b, a)
+        assert hash(pair) == hash(ExtentPair(b, a))
 
 
 class TestUniquePairs:

@@ -25,6 +25,7 @@ import time
 import pytest
 
 from repro.core.config import AnalyzerConfig
+from repro.core.extent import Extent
 from repro.engine import TwoTierBackend, shard_config
 from repro.engine.checkpoint import dump_engine, load_engine
 from repro.engine.procshard import (
@@ -79,9 +80,7 @@ def reference_shards(batches, shards=SHARDS, config=CONFIG):
             for start, length in evicted:
                 for i in range(shards):
                     if i != origin:
-                        backends[i].demote_item(
-                            backends[i]._interner.extent(start, length)
-                        )
+                        backends[i].demote_item(Extent(start, length))
     return [backend.analyzer for backend in backends]
 
 

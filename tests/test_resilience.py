@@ -10,6 +10,7 @@ quarantine.
 
 import io
 import os
+import struct
 
 import pytest
 
@@ -341,6 +342,25 @@ class TestCheckpointIntegrity:
             clock += 0.05
         victim.flush()
         assert len(frequent_set(victim)) >= 1
+
+    def test_inconsistent_legacy_file_falls_back_fresh(self, tmp_path):
+        """A v1 file (no CRC) listing one pair twice in T1 is corrupt:
+        the restore degrades instead of raising out of the table."""
+        path = tmp_path / "synopsis.ckpt"
+        path.write_bytes(b"".join([
+            b"RTSYN\x01",
+            struct.pack("<IIIIIIIII", 8, 8, 8, 8, 2, 0, 0, 2, 0),
+            struct.pack("<QIQII", 1, 8, 9, 8, 1),
+            struct.pack("<QIQII", 1, 8, 9, 8, 1),
+        ]))
+        victim = ResilientCharacterizationService(
+            sleep=lambda _s: None, **service_kwargs()
+        )
+        assert victim.restore_from(path) is False
+        health = victim.health()
+        assert health.status == "degraded"
+        assert any("corrupt" in reason for reason in health.reasons)
+        assert frequent_set(victim) == set()
 
     def test_missing_file_falls_back_fresh(self, tmp_path):
         victim = ResilientCharacterizationService(

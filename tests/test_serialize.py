@@ -1,12 +1,14 @@
 """Tests for synopsis checkpoint/restore."""
 
 import io
+import struct
 
 import pytest
 
 from repro.core.analyzer import OnlineAnalyzer
 from repro.core.config import AnalyzerConfig
 from repro.core.serialize import (
+    CheckpointCorruptError,
     dump_analyzer,
     dumps_analyzer,
     load_analyzer,
@@ -14,7 +16,7 @@ from repro.core.serialize import (
     synopsis_size_bytes,
 )
 
-from conftest import ext
+from conftest import ext, pair
 
 
 def trained_analyzer(capacity=32):
@@ -116,3 +118,57 @@ class TestFormat:
         buffer = io.BytesIO()
         written = dump_analyzer(analyzer, buffer)
         assert written == len(buffer.getvalue())
+
+
+def v1_checkpoint(items_t1=(), items_t2=(), pairs_t1=(), pairs_t2=(),
+                  capacity=8, promote=2):
+    """A hand-built legacy checkpoint (``RTSYN\\x01``, no CRC).
+
+    Items are ``(start, length, tally)`` rows, pairs
+    ``(a_start, a_length, b_start, b_length, tally)`` rows; every tier
+    holds ``capacity`` entries.
+    """
+    out = [b"RTSYN\x01", struct.pack(
+        "<IIIIIIIII", capacity, capacity, capacity, capacity, promote,
+        len(items_t1), len(items_t2), len(pairs_t1), len(pairs_t2),
+    )]
+    out += [struct.pack("<QII", *row) for row in (*items_t1, *items_t2)]
+    out += [struct.pack("<QIQII", *row) for row in (*pairs_t1, *pairs_t2)]
+    return b"".join(out)
+
+
+class TestInconsistentTiers:
+    """Tiers no access sequence produces are corrupt, not loadable."""
+
+    def test_consistent_hand_built_file_loads(self):
+        restored = loads_analyzer(v1_checkpoint(
+            items_t1=[(1, 1, 1)], items_t2=[(2, 1, 5)],
+            pairs_t1=[(1, 1, 2, 1, 1)], pairs_t2=[(1, 1, 3, 1, 7)],
+            promote=3,
+        ))
+        assert restored.frequent_extents(1) == [(ext(2), 5), (ext(1), 1)]
+        assert restored.frequent_pairs(1) == [
+            (pair(1, 3), 7), (pair(1, 2), 1)]
+        assert restored.correlations.check_index()
+
+    @pytest.mark.parametrize("sections", [
+        {"pairs_t1": [(1, 1, 2, 1, 1), (1, 1, 2, 1, 1)]},
+        {"pairs_t2": [(1, 1, 2, 1, 3), (1, 1, 2, 1, 4)]},
+        {"items_t1": [(5, 1, 1), (5, 1, 1)]},
+        {"items_t2": [(5, 1, 3), (5, 1, 2)]},
+        {"pairs_t1": [(1, 1, 2, 1, 1)], "pairs_t2": [(1, 1, 2, 1, 4)]},
+        {"items_t1": [(5, 1, 1)], "items_t2": [(5, 1, 4)]},
+    ], ids=["pair-twice-in-t1", "pair-twice-in-t2", "item-twice-in-t1",
+            "item-twice-in-t2", "pair-in-both-tiers", "item-in-both-tiers"])
+    def test_key_listed_twice_rejected(self, sections):
+        with pytest.raises(CheckpointCorruptError, match="twice"):
+            loads_analyzer(v1_checkpoint(**sections))
+
+    @pytest.mark.parametrize("sections", [
+        {"pairs_t1": [(1, 1, 2, 1, 7)]},
+        {"pairs_t1": [(1, 1, 2, 1, 2)]},
+        {"items_t1": [(5, 1, 7)]},
+    ], ids=["pair-tally-7", "pair-tally-at-threshold", "item-tally-7"])
+    def test_t1_tally_at_or_above_threshold_rejected(self, sections):
+        with pytest.raises(CheckpointCorruptError, match="threshold 2"):
+            loads_analyzer(v1_checkpoint(promote=2, **sections))
